@@ -240,12 +240,12 @@ int main(int argc, char** argv) {
     xfci::Rng rng(5);
     const auto c = rng.signed_vector(space.dimension());
     std::vector<double> sv(c.size());
-    xf::SigmaDgemm dg(ctx);
+    const auto dg = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
     const double s_dg =
-        time_per_call([&] { dg.apply(c, sv); }, min_s);
-    xf::SigmaMoc moc(ctx);
+        time_per_call([&] { dg->apply(c, sv); }, min_s);
+    const auto moc = xf::make_sigma(xf::Algorithm::kMoc, ctx);
     const double s_moc =
-        time_per_call([&] { moc.apply(c, sv); }, min_s);
+        time_per_call([&] { moc->apply(c, sv); }, min_s);
     const double s_ctx = time_per_call(
         [&] { xf::SigmaContext rebuilt(space, sys.tables); }, min_s);
     std::printf("sigma_dgemm   %12s   (%zu dets)\n",

@@ -41,19 +41,38 @@ void analyze(const xs::PreparedSystem& sys) {
   const double moc_comm_model = nci * na * (nn - na);
   const double dgemm_comm_model = 3.0 * nci * na;
 
-  // Measured: serial mixed-spin routines with fresh counters.
+  // Measured: the mixed-spin kernels over the whole vector, with fresh
+  // counters.
   xfci::Rng rng(7);
   const auto c = rng.signed_vector(space.dimension());
   std::vector<double> s(c.size(), 0.0);
 
   xf::SigmaStats moc_stats;
-  xf::moc_mixed_spin(ctx, c, s, moc_stats);
+  for (std::size_t b = 0; b < space.blocks().size(); ++b)
+    xf::moc_mixed_spin_columns(
+        ctx, b, 0, space.blocks()[b].na, c, s,
+        [](std::size_t, std::size_t) {}, moc_stats);
 
+  // One DGEMM task per alpha (N-1)-string, reading and accumulating the
+  // columns in place.
   xf::SigmaStats dg_stats;
   const auto& am1 = *ctx.alpha_m1();
-  for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-    for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
-      xf::sigma_mixed_spin_task(ctx, hk, ik, c, s, dg_stats);
+  std::vector<const double*> ccols;
+  std::vector<double*> scols;
+  for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk) {
+    for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
+      ccols.clear();
+      scols.clear();
+      for (const xf::Creation& cr : ctx.alpha_create()->list(hk, ik)) {
+        const xf::CiBlock* blk = space.block_for_alpha(cr.irrep);
+        const std::size_t off =
+            blk == nullptr ? 0 : blk->offset + cr.address * blk->nb;
+        ccols.push_back(blk == nullptr ? nullptr : c.data() + off);
+        scols.push_back(blk == nullptr ? nullptr : s.data() + off);
+      }
+      xf::sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, dg_stats);
+    }
+  }
 
   // Measured communication: the parallel drivers' mixed-phase traffic.
   auto measured_comm = [&](xf::Algorithm alg) {

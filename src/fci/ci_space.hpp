@@ -27,6 +27,8 @@ struct CiBlock {
 
 class CiSpace {
  public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
   /// Builds the blocked space for the given orbital count, electron counts,
   /// point group / orbital irreps and target (wavefunction) irrep.
   CiSpace(std::size_t norb, std::size_t nalpha, std::size_t nbeta,
@@ -51,6 +53,11 @@ class CiSpace {
 
   const std::vector<CiBlock>& blocks() const { return blocks_; }
 
+  /// Index into blocks() of the block whose alpha irrep is h (kNone if
+  /// empty / absent).
+  std::size_t block_index_for_alpha(std::size_t h) const {
+    return block_of_halpha_[h];
+  }
   /// Block whose alpha irrep is h (nullptr if empty / absent).
   const CiBlock* block_for_alpha(std::size_t h) const {
     const std::size_t b = block_of_halpha_[h];
@@ -77,8 +84,6 @@ class CiSpace {
                         std::vector<double>& dst) const;
 
  private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
   std::size_t norb_;
   std::size_t nalpha_;
   std::size_t nbeta_;

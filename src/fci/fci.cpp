@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "fci/parallel_sigma.hpp"
 #include "fci/solve_session.hpp"
 
 namespace xfci::fci {
@@ -9,11 +10,22 @@ namespace xfci::fci {
 std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
                                           const SigmaContext& context,
                                           bool ms0_transpose) {
+  // The one sigma driver, on one rank and one thread: the phase engines of
+  // the distributed build run unchanged, so every serial solve and serve
+  // session is bitwise identical to any distributed run.
+  constexpr std::size_t kRanks = 1;
+  constexpr std::size_t kThreads = 1;
   switch (algorithm) {
     case Algorithm::kDgemm:
-      return std::make_unique<SigmaDgemm>(context, ms0_transpose);
-    case Algorithm::kMoc:
-      return std::make_unique<SigmaMoc>(context);
+    case Algorithm::kMoc: {
+      fcp::ParallelOptions options;
+      options.num_ranks = kRanks;
+      options.num_threads = kThreads;
+      options.execution = fcp::ExecutionMode::kThreads;
+      options.algorithm = algorithm;
+      options.ms0_transpose = ms0_transpose;
+      return std::make_unique<fcp::ParallelSigma>(context, options);
+    }
     case Algorithm::kDense:
       return std::make_unique<SigmaDense>(context.space(), context.ints());
   }

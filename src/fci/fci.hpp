@@ -37,9 +37,12 @@ struct FciResult {
   double s_squared = 0.0;    ///< <S^2> of the converged state
 };
 
-/// Builds the sigma operator of the requested algorithm over `space`.
-/// `context` must outlive the returned operator; pass the same context to
-/// build several operators cheaply.
+/// Builds the sigma operator of the requested algorithm over `space`:
+/// for kDgemm and kMoc the one sigma driver, fcp::ParallelSigma, on the
+/// threads backend with one rank and one thread (bitwise equal to every
+/// distributed run); for kDense the explicit Hamiltonian.  `context` must
+/// outlive the returned operator; pass the same context to build several
+/// operators cheaply.
 std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
                                           const SigmaContext& context,
                                           bool ms0_transpose = false);

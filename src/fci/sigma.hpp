@@ -1,21 +1,24 @@
 #pragma once
-// Sigma operators: the matrix-vector product sigma = H * C evaluated
+// Sigma kernels: the matrix-vector product sigma = H * C evaluated
 // without ever forming H.
 //
 // Two families are provided, mirroring the paper's comparison:
-//  * SigmaDgemm  - the paper's contribution: the sparse product is
-//    reorganized into dense matrix-matrix multiplications through (N-1)-
-//    and (N-2)-electron intermediate string spaces (Eqs. 4-9).
-//  * SigmaMoc    - the classical "minimum operation count" baseline:
-//    precomputed excitation lists driving indexed multiply-add updates.
+//  * DGEMM (sigma_dgemm.cpp) - the paper's contribution: the sparse
+//    product is reorganized into dense matrix-matrix multiplications
+//    through (N-1)- and (N-2)-electron intermediate string spaces
+//    (Eqs. 4-9).
+//  * MOC (sigma_moc.cpp) - the classical "minimum operation count"
+//    baseline: excitation lists driving indexed multiply-add updates.
 //
-// Both decompose H as
+// One driver orchestrates both: fcp::ParallelSigma (parallel_sigma.hpp),
+// which fci::make_sigma returns for either algorithm.  Both decompose H as
 //   H = H1(alpha) + H1(beta) + Hss(alpha) + Hss(beta) + Hab
 // with
 //   Hss(s) = sum_{p>r, q>s} [(pq|rs) - (ps|rq)] a+p a+r a_s a_q   (spin s)
 //   Hab    = sum_{pqrs} (pq|rs) E^alpha_pq E^beta_rs.
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,6 +43,18 @@ struct SigmaStats {
   /// vector pipes).
   std::vector<std::array<std::size_t, 3>> dgemm_shapes;
   void reset() { *this = SigmaStats{}; }
+  /// Adds `o`'s counters and appends its shapes (the sigma driver folds
+  /// per-rank and per-task counters in a fixed order).
+  SigmaStats& operator+=(const SigmaStats& o) {
+    dgemm_flops += o.dgemm_flops;
+    indexed_ops += o.indexed_ops;
+    gather_words += o.gather_words;
+    scatter_words += o.scatter_words;
+    element_count += o.element_count;
+    dgemm_shapes.insert(dgemm_shapes.end(), o.dgemm_shapes.begin(),
+                        o.dgemm_shapes.end());
+    return *this;
+  }
 };
 
 /// Shared precomputed data for the sigma routines over one CI space:
@@ -147,49 +162,11 @@ class SigmaOperator {
   SigmaStats stats_;
 };
 
-/// DGEMM-based sigma (the paper's algorithm).
-class SigmaDgemm : public SigmaOperator {
- public:
-  /// `context` must outlive the operator.  With `ms0_transpose` set and
-  /// nalpha == nbeta, the alpha-side same-spin/one-electron work is
-  /// obtained from the beta-side result by transposition whenever the
-  /// input vector has definite transpose parity C(I_b, I_a) = +-C(I_a,
-  /// I_b) (Ms = 0 singlets/triplets stay in such a sector throughout the
-  /// solve) -- the paper's "Vector Symm." optimization for the C2
-  /// benchmark.  Vectors without definite parity silently fall back to the
-  /// full computation.
-  explicit SigmaDgemm(const SigmaContext& context,
-                      bool ms0_transpose = false);
-  void apply(std::span<const double> c, std::span<double> sigma) override;
-  const CiSpace& space() const override { return ctx_.space(); }
-
-  /// Number of apply() calls that used the transpose shortcut.
-  std::size_t ms0_hits() const { return ms0_hits_; }
-
- private:
-  const SigmaContext& ctx_;
-  bool ms0_transpose_;
-  std::size_t ms0_hits_ = 0;
-  std::vector<double> ct_, st_;  // transposed work vectors
-};
-
 /// Transpose parity of a CI vector when nalpha == nbeta: +1 if P c = +c,
 /// -1 if P c = -c, 0 if neither (P exchanges the alpha and beta string
 /// indices).  Tolerance is relative to |c|.
 int transpose_parity(const CiSpace& space, std::span<const double> c,
                      double tol = 1e-8);
-
-/// Minimum-operation-count sigma (indexed multiply-add baseline).
-class SigmaMoc : public SigmaOperator {
- public:
-  explicit SigmaMoc(const SigmaContext& context);
-  void apply(std::span<const double> c, std::span<double> sigma) override;
-  const CiSpace& space() const override { return ctx_.space(); }
-
- private:
-  const SigmaContext& ctx_;
-  std::vector<double> ct_, st_;
-};
 
 /// Dense reference sigma built from the explicit Hamiltonian (tiny spaces).
 class SigmaDense : public SigmaOperator {
@@ -204,17 +181,18 @@ class SigmaDense : public SigmaOperator {
   linalg::Matrix h_;
 };
 
-// --- building blocks shared by the serial and parallel drivers -------------
+// --- kernels of the sigma driver (parallel_sigma.hpp) ----------------------
 
 /// A view of the CI block whose columns are the strings of irrep h (one
-/// entry per irrep): column j lives at c + j*nrows.  The row count is
-/// arbitrary -- the serial driver passes full blocks, the parallel driver
+/// entry per irrep): column j holds nrows entries at c + j*ld.  The driver
 /// passes locally transposed blocks whose rows are the rank's share of the
-/// spectator index (paper Fig. 2a).
+/// spectator index (paper Fig. 2a), or a row range of the blocks in place
+/// (ld = the block's full row count).
 struct ColumnView {
   const double* c = nullptr;  ///< input block (null if the block is absent)
   double* sigma = nullptr;    ///< output block
   std::size_t nrows = 0;
+  std::size_t ld = 0;  ///< distance between columns, >= nrows
   /// Writable column range (alpha addresses); the MOC kernels honour this
   /// so the replicated parallel variant can read every column of a
   /// replicated C while updating only the rank's own sigma columns.
@@ -233,35 +211,37 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
                              std::span<const ColumnView> views,
                              SigmaStats& stats);
 
-/// Convenience wrappers over full flat CI vectors (serial path): build the
-/// per-irrep views from the space's blocks and invoke the kernels above.
-std::vector<ColumnView> full_vector_views(const CiSpace& space,
-                                          std::span<const double> c,
-                                          std::span<double> sigma);
-
 /// Mixed-spin sigma core (Eqs. 4-6) for one alpha (N-1)-string task
 /// K' = (irrep hk, index ik).  `ccols` and `scols` hold one pointer per
 /// entry of alpha_create().list(hk, ik): the gathered C column for that
 /// orbital and the local accumulation buffer for the sigma column (null
 /// when the corresponding block is absent).  Column lengths are the beta
 /// row counts of the target blocks.  The caller owns gathering/accumulating
-/// (DDI in the parallel driver, plain pointers serially).
+/// (one-sided DDI gather/accumulate in the sigma driver).
 void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
                            std::size_t ik,
                            std::span<const double* const> ccols,
                            std::span<double* const> scols, SigmaStats& stats);
 
-/// Mixed-spin task over a full flat vector (serial path): wires
-/// sigma_mixed_spin_core to in-place column pointers.
-void sigma_mixed_spin_task(const SigmaContext& ctx, std::size_t hk,
-                           std::size_t ik, std::span<const double> c,
-                           std::span<double> sigma, SigmaStats& stats);
-
 /// MOC variants of the same decomposition (same operator, indexed kernels).
 void moc_same_spin_columns(const SigmaContext& ctx,
                            std::span<const ColumnView> views,
                            SigmaStats& stats);
-void moc_mixed_spin(const SigmaContext& ctx, std::span<const double> c,
-                    std::span<double> sigma, SigmaStats& stats);
+
+/// MOC mixed-spin sigma (Table 1's indexed multiply-add kernel) into the
+/// alpha columns [col_begin, col_end) of block `b` of the flat vectors:
+/// for every alpha single excitation J_a -> I_a and every beta single
+/// excitation J_b -> I_b,
+///   sigma(I_b, I_a) += (pq|rs) * signs * C(J_b, J_a).
+/// `gather(block, column)` runs once per alpha excitation, before source
+/// column J_a is read (the parallel driver charges the remote get there).
+/// gather_words books nalpha * nb words per target column -- each C column
+/// read once per (N-1)-string it contains -- so over any column split the
+/// total is nalpha * dimension.
+void moc_mixed_spin_columns(
+    const SigmaContext& ctx, std::size_t b, std::size_t col_begin,
+    std::size_t col_end, std::span<const double> c, std::span<double> sigma,
+    const std::function<void(std::size_t, std::size_t)>& gather,
+    SigmaStats& stats);
 
 }  // namespace xfci::fci

@@ -2,12 +2,13 @@
 //
 // All three building blocks are column-oriented: excitations act on the
 // column string index, so gathers and scatters touch contiguous columns.
-// The same-spin / one-electron kernels run over ColumnViews so the parallel
-// driver can hand them locally transposed blocks (paper section 3.3: "In
-// the same-spin routine the transposed local C and sigma coefficients
-// matrices are used to facilitate the gather and scatter operations"); the
-// mixed-spin core receives explicit per-column pointers so the parallel
-// driver can route them through one-sided DDI gather/accumulate.
+// The same-spin / one-electron kernels run over ColumnViews so the sigma
+// driver (parallel_sigma.hpp) can hand them locally transposed blocks
+// (paper section 3.3: "In the same-spin routine the transposed local C and
+// sigma coefficients matrices are used to facilitate the gather and
+// scatter operations"); the mixed-spin core receives explicit per-column
+// pointers so the driver can route them through one-sided DDI
+// gather/accumulate.
 
 #include <cmath>
 
@@ -17,19 +18,6 @@
 #include "linalg/kernels.hpp"
 
 namespace xfci::fci {
-
-std::vector<ColumnView> full_vector_views(const CiSpace& space,
-                                          std::span<const double> c,
-                                          std::span<double> sigma) {
-  XFCI_REQUIRE(c.size() == space.dimension() && sigma.size() == c.size(),
-               "vector views: c/sigma size must equal the CI dimension");
-  std::vector<ColumnView> views(space.group().num_irreps());
-  for (const CiBlock& blk : space.blocks()) {
-    views[blk.halpha] = ColumnView{c.data() + blk.offset,
-                                   sigma.data() + blk.offset, blk.nb};
-  }
-  return views;
-}
 
 void sigma_one_electron_columns(const SigmaContext& ctx,
                                 std::span<const ColumnView> views,
@@ -48,7 +36,7 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
       for (const Creation& cq : list) {
         const ColumnView& vj = views[cq.irrep];
         if (vj.c == nullptr) continue;
-        const double* ccol = vj.c + cq.address * vj.nrows;
+        const double* ccol = vj.c + cq.address * vj.ld;
         for (const Creation& cp : list) {
           // h_pq vanishes between different orbital irreps.
           if (ctx.orbital_irrep(cp.orbital) != ctx.orbital_irrep(cq.orbital))
@@ -58,7 +46,7 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
           const double hpq = h(cp.orbital, cq.orbital);
           if (hpq == 0.0) continue;
           // Same target irrep, hence the same view.
-          double* scol = vj.sigma + cp.address * vj.nrows;
+          double* scol = vj.sigma + cp.address * vj.ld;
           linalg::daxpy_n(vj.nrows, cp.sign * cq.sign * hpq, ccol, scol);
           stats.indexed_ops += static_cast<double>(vj.nrows);
         }
@@ -99,7 +87,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
           const std::size_t row = ctx.ss_pair_position(pc.hi, pc.lo);
           XFCI_DCHECK(row < npairs,
                       "same-spin gather row outside the pair block");
-          const double* ccol = view.c + pc.address * nr;
+          const double* ccol = view.c + pc.address * view.ld;
           double* drow = d.data() + row * nr;
           for (std::size_t i = 0; i < nr; ++i) drow[i] = pc.sign * ccol[i];
           stats.gather_words += static_cast<double>(nr);
@@ -119,7 +107,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
           const std::size_t row = ctx.ss_pair_position(pc.hi, pc.lo);
           XFCI_DCHECK(row < npairs,
                       "same-spin scatter row outside the pair block");
-          double* scol = view.sigma + pc.address * nr;
+          double* scol = view.sigma + pc.address * view.ld;
           linalg::daxpy_n(nr, pc.sign, e.data() + row * nr, scol);
           stats.scatter_words += static_cast<double>(nr);
         }
@@ -205,28 +193,6 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
   }
 }
 
-void sigma_mixed_spin_task(const SigmaContext& ctx, std::size_t hk,
-                           std::size_t ik, std::span<const double> c,
-                           std::span<double> sigma, SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(c.size() == space.dimension() && sigma.size() == c.size(),
-               "mixed-spin task: c/sigma size must equal the CI dimension");
-  const auto& alist = ctx.alpha_create()->list(hk, ik);
-  std::vector<const double*> ccols(alist.size(), nullptr);
-  std::vector<double*> scols(alist.size(), nullptr);
-  for (std::size_t ai = 0; ai < alist.size(); ++ai) {
-    const CiBlock* blk = space.block_for_alpha(alist[ai].irrep);
-    if (blk == nullptr) continue;
-    XFCI_DCHECK(blk->offset + (alist[ai].address + 1) * blk->nb <= c.size(),
-                "gathered column extends past the CI vector");
-    ccols[ai] = c.data() + blk->offset + alist[ai].address * blk->nb;
-    scols[ai] = sigma.data() + blk->offset + alist[ai].address * blk->nb;
-    stats.gather_words += static_cast<double>(blk->nb);
-    stats.scatter_words += static_cast<double>(blk->nb);
-  }
-  sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, stats);
-}
-
 int transpose_parity(const CiSpace& space, std::span<const double> c,
                      double tol) {
   XFCI_REQUIRE(c.size() == space.dimension(),
@@ -259,76 +225,6 @@ int transpose_parity(const CiSpace& space, std::span<const double> c,
     return -1;
   }
   return 0;
-}
-
-SigmaDgemm::SigmaDgemm(const SigmaContext& context, bool ms0_transpose)
-    : ctx_(context), ms0_transpose_(ms0_transpose) {}
-
-void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
-  const CiSpace& space = ctx_.space();
-  XFCI_REQUIRE(c.size() == space.dimension(), "sigma: c size mismatch");
-  XFCI_REQUIRE(sigma.size() == space.dimension(),
-               "sigma: sigma size mismatch");
-  std::fill(sigma.begin(), sigma.end(), 0.0);
-
-  const int parity =
-      ms0_transpose_ ? transpose_parity(space, c) : 0;
-
-  // Parity purification: project out the (noise-level) odd component so
-  // the transpose shortcut is exact on what remains.
-  std::vector<double> cproj;
-  if (parity != 0) {
-    std::vector<double> pc;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), pc);
-    cproj.resize(c.size());
-    const double eps = static_cast<double>(parity);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      cproj[i] = 0.5 * (c[i] + eps * pc[i]);
-    c = cproj;
-  }
-
-  // Alpha-side (column) contributions -- skipped when the transpose
-  // shortcut below reconstructs them from the beta side.
-  if (parity == 0) {
-    const auto views = full_vector_views(space, c, sigma);
-    sigma_one_electron_columns(ctx_, views, stats_);
-    sigma_same_spin_columns(ctx_, views, stats_);
-  }
-
-  // Mixed spin: loop over all alpha (N-1)-string tasks.
-  if (space.nalpha() >= 1 && space.nbeta() >= 1) {
-    const StringSpace& am1 = *ctx_.alpha_m1();
-    for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-      for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
-        sigma_mixed_spin_task(ctx_, hk, ik, c, sigma, stats_);
-  }
-
-  // Beta-side contributions via the transposed orientation.
-  if (space.nbeta() >= 1) {
-    const SigmaContext& tctx = ctx_.transposed();
-    std::vector<double> ct, st, back;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
-    st.assign(ct.size(), 0.0);
-    const auto views = full_vector_views(tctx.space(), ct, st);
-    sigma_one_electron_columns(tctx, views, stats_);
-    sigma_same_spin_columns(tctx, views, stats_);
-    tctx.space().transpose_vector(st, back);
-    XFCI_ASSERT(back.size() == sigma.size(), "transpose round trip size");
-    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += back[i];
-
-    if (parity != 0) {
-      // "Vector Symm." shortcut: the alpha-side operator A satisfies
-      // A = P B P, so A c = parity * P (B c) -- one more transpose instead
-      // of recomputing the other spin.
-      ++ms0_hits_;
-      std::vector<double> pz;
-      space.transpose_vector(back, pz);
-      const double eps = static_cast<double>(parity);
-      for (std::size_t i = 0; i < sigma.size(); ++i)
-        sigma[i] += eps * pz[i];
-      stats_.gather_words += static_cast<double>(c.size());
-    }
-  }
 }
 
 SigmaDense::SigmaDense(const CiSpace& space,

@@ -28,7 +28,7 @@ void moc_same_spin_columns(const SigmaContext& ctx,
       for (const PairCreation& ann : list) {  // (q > s): J = K + q + s
         const ColumnView& view = views[ann.irrep];
         if (view.c == nullptr || view.nrows == 0) continue;
-        const double* ccol = view.c + ann.address * view.nrows;
+        const double* ccol = view.c + ann.address * view.ld;
         const std::size_t hp_ann =
             group.product(ctx.orbital_irrep(ann.hi), ctx.orbital_irrep(ann.lo));
         const linalg::Matrix& g = ctx.ss_integrals(hp_ann);
@@ -48,7 +48,7 @@ void moc_same_spin_columns(const SigmaContext& ctx,
               g(ctx.ss_pair_position(cre.hi, cre.lo), col) * ann.sign *
               cre.sign;
           if (val == 0.0) continue;
-          double* scol = view.sigma + cre.address * view.nrows;
+          double* scol = view.sigma + cre.address * view.ld;
           linalg::daxpy_n(view.nrows, val, ccol, scol);
           stats.indexed_ops += static_cast<double>(view.nrows);
         }
@@ -57,92 +57,74 @@ void moc_same_spin_columns(const SigmaContext& ctx,
   }
 }
 
-void moc_mixed_spin(const SigmaContext& ctx, std::span<const double> c,
-                    std::span<double> sigma, SigmaStats& stats) {
+void moc_mixed_spin_columns(
+    const SigmaContext& ctx, std::size_t b, std::size_t col_begin,
+    std::size_t col_end, std::span<const double> c, std::span<double> sigma,
+    const std::function<void(std::size_t, std::size_t)>& gather,
+    SigmaStats& stats) {
   const CiSpace& space = ctx.space();
   XFCI_REQUIRE(c.size() == space.dimension() && sigma.size() == c.size(),
                "MOC mixed-spin sigma: c/sigma size must equal the CI "
                "dimension");
+  XFCI_REQUIRE(b < space.blocks().size() &&
+                   col_end <= space.blocks()[b].na && col_begin <= col_end,
+               "MOC mixed-spin sigma: column range outside the block");
   if (space.nalpha() < 1 || space.nbeta() < 1) return;
-  const StringSpace& am1 = *ctx.alpha_m1();
+  const StringSpace& sa = space.alpha();
   const StringSpace& bm1 = *ctx.beta_m1();
-  const auto& atable = *ctx.alpha_create();
   const auto& btable = *ctx.beta_create();
   const auto& eri = ctx.ints().eri;
+  const std::size_t n = space.norb();
+  const CiBlock& blk = space.blocks()[b];
 
-  // For every alpha single excitation (J_a -> I_a via E_pq) and every beta
-  // single excitation (J_b -> I_b via E_rs):
-  //   sigma(I_b, I_a) += (pq|rs) * signs * C(J_b, J_a)
-  // -- the indexed multiply-and-add kernel of Table 1.
-  for (std::size_t hka = 0; hka < am1.num_irreps(); ++hka) {
-    for (std::size_t ika = 0; ika < am1.count(hka); ++ika) {
-      const auto& alist = atable.list(hka, ika);
-      for (const Creation& cq : alist) {
-        const CiBlock* bj = space.block_for_alpha(cq.irrep);
-        if (bj == nullptr) continue;
-        const double* ccol = c.data() + bj->offset + cq.address * bj->nb;
-        stats.gather_words += static_cast<double>(bj->nb);
-        for (const Creation& cp : alist) {
-          const CiBlock* bi = space.block_for_alpha(cp.irrep);
-          if (bi == nullptr) continue;
-          double* scol = sigma.data() + bi->offset + cp.address * bi->nb;
-          const double sa = cp.sign * cq.sign;
-          const std::size_t p = cp.orbital, q = cq.orbital;
-          // Required beta excitation irrep: rows h(J_b) -> rows h(I_b).
-          for (std::size_t hkb = 0; hkb < bm1.num_irreps(); ++hkb) {
-            for (std::size_t ikb = 0; ikb < bm1.count(hkb); ++ikb) {
-              const auto& blist = btable.list(hkb, ikb);
-              for (const Creation& cs : blist) {
-                if (cs.irrep != bj->hbeta) continue;
-                XFCI_DCHECK(cs.address < bj->nb,
-                            "MOC gather row outside the source block");
-                const double cj = ccol[cs.address];
-                if (cj == 0.0) continue;
-                for (const Creation& cr : blist) {
-                  if (cr.irrep != bi->hbeta) continue;
-                  XFCI_DCHECK(cr.address < bi->nb,
-                              "MOC scatter row outside the target block");
-                  scol[cr.address] += sa * cr.sign * cs.sign *
-                                      eri(p, q, cr.orbital, cs.orbital) * cj;
-                  stats.indexed_ops += 1.0;
-                }
+  for (std::size_t col = col_begin; col < col_end; ++col) {
+    const StringMask ia = sa.mask(blk.halpha, col);
+    double* scol = sigma.data() + blk.offset + col * blk.nb;
+    stats.gather_words +=
+        static_cast<double>(space.nalpha()) * static_cast<double>(blk.nb);
+    // Enumerate E_pq with p occupied in I_a.
+    StringMask occ = ia;
+    while (occ) {
+      const int p = __builtin_ctzll(occ);
+      occ &= occ - 1;
+      const int s1 = annihilate_sign(ia, p);
+      const StringMask mid = ia & ~(StringMask{1} << p);
+      for (std::size_t q = 0; q < n; ++q) {
+        if (mid & (StringMask{1} << q)) continue;
+        const int s2 = create_sign(mid, static_cast<int>(q));
+        const StringMask ja = mid | (StringMask{1} << q);
+        const std::size_t bj = space.block_index_for_alpha(sa.irrep_of(ja));
+        if (bj == CiSpace::kNone) continue;
+        const CiBlock& blkj = space.blocks()[bj];
+        const std::size_t colj = sa.address(ja);
+        gather(bj, colj);
+        const double* ccol = c.data() + blkj.offset + colj * blkj.nb;
+        const double sa_sign = s1 * s2;
+        // Beta part: sigma(I_b) += (pq|rs) * signs * C(J_b).
+        for (std::size_t hkb = 0; hkb < bm1.num_irreps(); ++hkb) {
+          for (std::size_t ikb = 0; ikb < bm1.count(hkb); ++ikb) {
+            const auto& blist = btable.list(hkb, ikb);
+            for (const Creation& cs : blist) {
+              if (cs.irrep != blkj.hbeta) continue;
+              XFCI_DCHECK(cs.address < blkj.nb,
+                          "MOC gather row outside the source block");
+              const double cj = ccol[cs.address];
+              if (cj == 0.0) continue;
+              for (const Creation& cr : blist) {
+                if (cr.irrep != blk.hbeta) continue;
+                XFCI_DCHECK(cr.address < blk.nb,
+                            "MOC scatter row outside the target block");
+                scol[cr.address] += sa_sign * cr.sign * cs.sign *
+                                    eri(static_cast<std::size_t>(p), q,
+                                        cr.orbital, cs.orbital) *
+                                    cj;
+                stats.indexed_ops += 1.0;
               }
             }
           }
         }
       }
     }
-  }
-}
-
-SigmaMoc::SigmaMoc(const SigmaContext& context) : ctx_(context) {}
-
-void SigmaMoc::apply(std::span<const double> c, std::span<double> sigma) {
-  const CiSpace& space = ctx_.space();
-  XFCI_REQUIRE(c.size() == space.dimension(), "sigma: c size mismatch");
-  XFCI_REQUIRE(sigma.size() == space.dimension(),
-               "sigma: sigma size mismatch");
-  std::fill(sigma.begin(), sigma.end(), 0.0);
-
-  // One-electron parts reuse the column routine (they are not the point of
-  // the MOC/DGEMM comparison and are identical in both algorithms).
-  {
-    const auto views = full_vector_views(space, c, sigma);
-    sigma_one_electron_columns(ctx_, views, stats_);
-    moc_same_spin_columns(ctx_, views, stats_);
-  }
-  moc_mixed_spin(ctx_, c, sigma, stats_);
-
-  if (space.nbeta() >= 1) {
-    const SigmaContext& tctx = ctx_.transposed();
-    std::vector<double> ct, st, back;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
-    st.assign(ct.size(), 0.0);
-    const auto views = full_vector_views(tctx.space(), ct, st);
-    sigma_one_electron_columns(tctx, views, stats_);
-    moc_same_spin_columns(tctx, views, stats_);
-    tctx.space().transpose_vector(st, back);
-    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += back[i];
   }
 }
 

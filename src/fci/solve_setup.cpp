@@ -33,15 +33,13 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
       target_irrep_(target_irrep) {
   // Materialize every lazily-built table a sigma application or the parity
   // purifier can touch, so sessions sharing this setup never race on a
-  // first touch (ParallelSigma's concurrent path plays the same trick):
-  //  * the transposed SigmaContext (sigma_dgemm/sigma_moc, nbeta >= 1),
-  //  * the transpose map of the transposed space — the transpose *back*
-  //    in the beta-side phase routes through it,
+  // first touch (ParallelSigma's constructor plays the same trick):
+  //  * the transposed SigmaContext (the beta-side phase),
+  //  * the transpose map of the transposed space — every transpose back
+  //    to the alpha-column layout (the RDM code) routes through it,
   //  * space_.transposed() itself, which transpose_vector (and with it the
   //    Ms = 0 purifier and transpose_parity) builds on first use.
-  if (options_.algorithm != Algorithm::kDense &&
-      (space_.nbeta() >= 1 ||
-       (options_.ms0_transpose && nalpha == nbeta))) {
+  if (options_.algorithm != Algorithm::kDense) {
     context_.transposed();
     space_.transposed().transposed();
   }

@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <string>
 
-#include "fci_parallel/options.hpp"
+#include "fci/parallel_options.hpp"
 
 namespace xfci::fcp {
 

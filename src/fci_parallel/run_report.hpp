@@ -14,7 +14,7 @@
 
 #include "common/env.hpp"
 #include "fci/solvers.hpp"
-#include "fci_parallel/options.hpp"
+#include "fci/parallel_options.hpp"
 #include "parallel/ddi.hpp"
 
 namespace xfci::fcp {

@@ -6,7 +6,7 @@
 // DDI_PUT, barriers, and a shared dynamic-load-balancing counter
 // (DDI_DLBNEXT, a SHMEM_SWAP on a server rank) -- and DDI is in turn
 // implemented over SHMEM on the X1.  pv::Ddi reproduces that seam: the
-// phase engines in src/fci_parallel/ speak only this interface, and a
+// phase engines in src/fci/ speak only this interface, and a
 // backend supplies the transport, the clocks, and the failure semantics.
 //
 // Backends:
@@ -42,7 +42,7 @@
 // MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over
 // next_task with the same staged-commit hooks.  The charge_* methods
 // become no-ops (real time is measured, not modeled) exactly as in
-// ThreadsDdi, and nothing in src/fci_parallel/ changes.  See DESIGN.md
+// ThreadsDdi, and nothing in the phase engines changes.  See DESIGN.md
 // section 10 for the layer diagram.
 
 #include <cstddef>

@@ -11,10 +11,20 @@ namespace {
 
 // Set while a thread executes a parallel-region body (workers and the
 // calling thread alike); nested region requests run inline instead of
-// re-entering the pool.  tl_tid keeps the worker id so an inlined nested
-// body still indexes the right per-thread scratch.
+// re-entering the pool.  tl_team/tl_tid name the team and worker id of the
+// enclosing region, so an inlined nested body of the same team still
+// indexes the right per-thread scratch.
 thread_local bool tl_in_region = false;
+thread_local const ThreadTeam* tl_team = nullptr;
 thread_local std::size_t tl_tid = 0;
+
+// Worker id of a region run inline on the calling thread: the enclosing
+// worker's id when `team` re-enters its own region, else 0 -- another
+// team's enclosing region numbers its workers in that team's range (a
+// one-thread sigma inside a serve worker must not see worker 3).
+std::size_t inline_tid(const ThreadTeam* team) {
+  return (tl_in_region && tl_team == team) ? tl_tid : 0;
+}
 
 }  // namespace
 
@@ -47,6 +57,7 @@ void ThreadTeam::claim_loop(std::size_t tid, const IndexBody* body,
   XFCI_DCHECK(body != nullptr || retire != nullptr,
               "entered a claim loop with no active region");
   tl_in_region = true;
+  tl_team = this;
   tl_tid = tid;
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
@@ -70,6 +81,7 @@ void ThreadTeam::claim_loop(std::size_t tid, const IndexBody* body,
     }
   }
   tl_in_region = false;
+  tl_team = nullptr;
 }
 
 void ThreadTeam::worker_main(std::size_t tid) {
@@ -127,9 +139,9 @@ void ThreadTeam::for_dynamic(std::size_t count, const IndexBody& body) {
   if (count == 0) return;
   if (nthreads_ == 1 || count == 1 || tl_in_region) {
     // Serial / nested fallback: run inline, preserving index order.  A
-    // nested call keeps the enclosing worker's tid so per-thread scratch
-    // stays private.
-    const std::size_t tid = tl_in_region ? tl_tid : 0;
+    // nested call of this team keeps the enclosing worker's tid so
+    // per-thread scratch stays private.
+    const std::size_t tid = inline_tid(this);
     for (std::size_t i = 0; i < count; ++i) body(i, tid);
     return;
   }
@@ -151,7 +163,7 @@ void ThreadTeam::for_pool_resilient(const TaskPool& pool,
     // Serial / nested fallback: the lone worker claims in index order; a
     // retirement with chunks still pending is unrecoverable (nobody is
     // left to claim them) -- the same abort as the parallel path below.
-    const std::size_t tid = tl_in_region ? tl_tid : 0;
+    const std::size_t tid = inline_tid(this);
     for (std::size_t i = 0; i < count; ++i)
       if (!body(i, tid))
         XFCI_REQUIRE(i + 1 == count,

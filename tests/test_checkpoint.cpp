@@ -174,8 +174,8 @@ TEST(Checkpoint, KillThenRestartReproducesTrajectoryBitwise) {
   opt.max_iterations = 200;
 
   // The uninterrupted reference run.
-  xf::SigmaDgemm op_ref(ctx);
-  const auto ref = xf::solve_lowest(op_ref, tables, opt);
+  const auto op_ref = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto ref = xf::solve_lowest(*op_ref, tables, opt);
   ASSERT_TRUE(ref.converged);
   ASSERT_GT(ref.iterations, 6u);
 
@@ -183,15 +183,15 @@ TEST(Checkpoint, KillThenRestartReproducesTrajectoryBitwise) {
   xf::SolverOptions first = opt;
   first.max_iterations = 4;
   first.checkpoint_path = path;
-  xf::SigmaDgemm op1(ctx);
-  const auto partial = xf::solve_lowest(op1, tables, first);
+  const auto op1 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto partial = xf::solve_lowest(*op1, tables, first);
   ASSERT_FALSE(partial.converged);
 
   // Restart from the checkpoint and run to convergence.
   xf::SolverOptions second = opt;
   second.restart_path = path;
-  xf::SigmaDgemm op2(ctx);
-  const auto resumed = xf::solve_lowest(op2, tables, second);
+  const auto op2 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto resumed = xf::solve_lowest(*op2, tables, second);
   ASSERT_TRUE(resumed.converged);
 
   // The resumed trajectory -- including the restored prefix -- must equal
@@ -220,15 +220,15 @@ TEST(Checkpoint, RestartRejectsMethodMismatch) {
   writer.model_space = 12;
   writer.max_iterations = 3;
   writer.checkpoint_path = path;
-  xf::SigmaDgemm op1(ctx);
-  xf::solve_lowest(op1, tables, writer);
+  const auto op1 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  xf::solve_lowest(*op1, tables, writer);
 
   xf::SolverOptions reader = writer;
   reader.checkpoint_path.clear();
   reader.restart_path = path;
   reader.method = xf::Method::kModifiedOlsen;
-  xf::SigmaDgemm op2(ctx);
-  EXPECT_THROW(xf::solve_lowest(op2, tables, reader), xfci::Error);
+  const auto op2 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  EXPECT_THROW(xf::solve_lowest(*op2, tables, reader), xfci::Error);
 }
 
 TEST(WarmStart, AutoAdjustedMatchesColdRunTail) {
@@ -240,16 +240,16 @@ TEST(WarmStart, AutoAdjustedMatchesColdRunTail) {
   opt.method = xf::Method::kAutoAdjusted;
   opt.model_space = 12;
   opt.max_iterations = 200;
-  xf::SigmaDgemm op1(ctx);
-  const auto cold = xf::solve_lowest(op1, tables, opt);
+  const auto op1 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto cold = xf::solve_lowest(*op1, tables, opt);
   ASSERT_TRUE(cold.converged);
 
   // Warm-started from the converged vector, the first iterate must already
   // sit on the tail of the cold run's energy history and converge at once.
   xf::SolverOptions warm = opt;
   warm.initial_vector = cold.vector;
-  xf::SigmaDgemm op2(ctx);
-  const auto res = xf::solve_lowest(op2, tables, warm);
+  const auto op2 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto res = xf::solve_lowest(*op2, tables, warm);
   ASSERT_TRUE(res.converged);
   EXPECT_LE(res.iterations, 3u);
   EXPECT_NEAR(res.energy_history.front(), cold.energy_history.back(), 1e-10);
@@ -265,8 +265,8 @@ TEST(WarmStart, EveryMethodAcceptsInitialVector) {
   base.method = xf::Method::kAutoAdjusted;
   base.model_space = 12;
   base.max_iterations = 200;
-  xf::SigmaDgemm op0(ctx);
-  const auto cold = xf::solve_lowest(op0, tables, base);
+  const auto op0 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto cold = xf::solve_lowest(*op0, tables, base);
   ASSERT_TRUE(cold.converged);
 
   for (const auto m :
@@ -275,8 +275,8 @@ TEST(WarmStart, EveryMethodAcceptsInitialVector) {
     xf::SolverOptions opt = base;
     opt.method = m;
     opt.initial_vector = cold.vector;
-    xf::SigmaDgemm op(ctx);
-    const auto res = xf::solve_lowest(op, tables, opt);
+    const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+    const auto res = xf::solve_lowest(*op, tables, opt);
     EXPECT_TRUE(res.converged) << xf::method_name(m);
     EXPECT_NEAR(res.energy, cold.energy, 1e-9) << xf::method_name(m);
     EXPECT_LE(res.iterations, 6u) << xf::method_name(m);
@@ -294,22 +294,22 @@ TEST(WarmStart, SubspaceMethodsRestartFromCheckpointAsWarmStart) {
   writer.model_space = 12;
   writer.max_iterations = 6;
   writer.checkpoint_path = path;
-  xf::SigmaDgemm op1(ctx);
-  xf::solve_lowest(op1, tables, writer);
+  const auto op1 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  xf::solve_lowest(*op1, tables, writer);
 
   xf::SolverOptions reader;
   reader.method = xf::Method::kSubspace2;
   reader.model_space = 12;
   reader.max_iterations = 200;
   reader.restart_path = path;
-  xf::SigmaDgemm op2(ctx);
-  const auto res = xf::solve_lowest(op2, tables, reader);
+  const auto op2 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto res = xf::solve_lowest(*op2, tables, reader);
   EXPECT_TRUE(res.converged);
 
   xf::SolverOptions davidson = reader;
   davidson.method = xf::Method::kDavidson;
-  xf::SigmaDgemm op3(ctx);
-  const auto dres = xf::solve_lowest(op3, tables, davidson);
+  const auto op3 = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto dres = xf::solve_lowest(*op3, tables, davidson);
   EXPECT_TRUE(dres.converged);
   EXPECT_NEAR(dres.energy, res.energy, 1e-8);
 }
@@ -320,6 +320,6 @@ TEST(WarmStart, RejectsWrongDimension) {
   const xf::SigmaContext ctx(space, tables);
   xf::SolverOptions opt;
   opt.initial_vector.assign(7, 0.5);
-  xf::SigmaDgemm op(ctx);
-  EXPECT_THROW(xf::solve_lowest(op, tables, opt), xfci::Error);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  EXPECT_THROW(xf::solve_lowest(*op, tables, opt), xfci::Error);
 }

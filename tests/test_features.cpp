@@ -62,14 +62,15 @@ TEST(Ms0Transpose, SigmaIdenticalOnSymmetricVectors) {
   const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
                           sys.tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, sys.tables);
-  xf::SigmaDgemm plain(ctx, false);
-  xf::SigmaDgemm fast(ctx, true);
+  const auto plain = xf::make_sigma(xf::Algorithm::kDgemm, ctx, false);
+  const auto fast_op = xf::make_sigma(xf::Algorithm::kDgemm, ctx, true);
+  const auto& fast = dynamic_cast<const fcp::ParallelSigma&>(*fast_op);
 
   for (int parity : {+1, -1}) {
     const auto c = parity_vector(space, parity, 7 + parity);
     std::vector<double> s1(c.size()), s2(c.size());
-    plain.apply(c, s1);
-    fast.apply(c, s2);
+    plain->apply(c, s1);
+    fast_op->apply(c, s2);
     for (std::size_t i = 0; i < c.size(); ++i)
       EXPECT_NEAR(s2[i], s1[i], 1e-11) << "parity " << parity;
   }
@@ -81,13 +82,14 @@ TEST(Ms0Transpose, FallsBackOnAsymmetricVectors) {
   const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
                           sys.tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, sys.tables);
-  xf::SigmaDgemm plain(ctx, false);
-  xf::SigmaDgemm fast(ctx, true);
+  const auto plain = xf::make_sigma(xf::Algorithm::kDgemm, ctx, false);
+  const auto fast_op = xf::make_sigma(xf::Algorithm::kDgemm, ctx, true);
+  const auto& fast = dynamic_cast<const fcp::ParallelSigma&>(*fast_op);
   xfci::Rng rng(11);
   const auto c = rng.signed_vector(space.dimension());
   std::vector<double> s1(c.size()), s2(c.size());
-  plain.apply(c, s1);
-  fast.apply(c, s2);
+  plain->apply(c, s1);
+  fast_op->apply(c, s2);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(s2[i], s1[i], 1e-11);
   EXPECT_EQ(fast.ms0_hits(), 0u);
 }

@@ -7,7 +7,7 @@
 #include <random>
 
 #include "fci/ci_space.hpp"
-#include "fci_parallel/distribution.hpp"
+#include "fci/distribution.hpp"
 #include "parallel/machine.hpp"
 #include "parallel/task_pool.hpp"
 

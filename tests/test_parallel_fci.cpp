@@ -1,12 +1,13 @@
 // Tests for the distributed FCI driver: the parallel sigma must be
-// numerically identical to the serial one for every rank count and both
-// algorithms; simulated time must show the paper's scaling shapes
-// (DGEMM scales, replicated MOC same-spin does not); the full parallel
-// solve must reproduce the serial energy.
+// bitwise identical to make_sigma (the same driver on one rank) for every
+// rank count and both algorithms; simulated time must show the paper's
+// scaling shapes (DGEMM scales, replicated MOC same-spin does not); the
+// full parallel solve must reproduce the serial energy.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "chem/molecule.hpp"
 #include "common/rng.hpp"
@@ -38,14 +39,29 @@ const xi::IntegralTables& be_tables() {
 struct ParCase {
   std::size_t nranks;
   xf::Algorithm alg;
+  // gtest names each case after the bytes of its parameter; an explicit
+  // zero word where the compiler would leave uninitialized padding keeps
+  // those names the same from build to build.
+  std::uint32_t zero = 0;
 };
+
+// Number of elements where two vectors differ (0 means bitwise equal up
+// to the sign of zero).
+std::size_t mismatches(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i] != b[i]) ++n;
+  return n;
+}
 
 }  // namespace
 
 class ParallelInvariance : public ::testing::TestWithParam<ParCase> {};
 
 TEST_P(ParallelInvariance, SigmaMatchesSerial) {
-  const auto [nranks, alg] = GetParam();
+  const std::size_t nranks = GetParam().nranks;
+  const xf::Algorithm alg = GetParam().alg;
   const auto& tables = be_tables();
   const xf::CiSpace space(tables.norb, 2, 2, tables.group,
                           tables.orbital_irreps, 0);
@@ -62,13 +78,7 @@ TEST_P(ParallelInvariance, SigmaMatchesSerial) {
   std::vector<double> s1(c.size()), s2(c.size());
   serial->apply(c, s1);
   parallel.apply(c, s2);
-
-  double dmax = 0.0, norm = 0.0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    dmax = std::max(dmax, std::abs(s1[i] - s2[i]));
-    norm = std::max(norm, std::abs(s1[i]));
-  }
-  EXPECT_LT(dmax, 1e-11 * std::max(1.0, norm))
+  EXPECT_EQ(mismatches(s1, s2), 0u)
       << "P=" << nranks << " alg=" << xf::algorithm_name(alg);
 }
 
@@ -100,8 +110,7 @@ TEST(ParallelFci, OpenShellSigmaMatchesSerial) {
   std::vector<double> s1(c.size()), s2(c.size());
   serial->apply(c, s1);
   parallel.apply(c, s2);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    EXPECT_NEAR(s2[i], s1[i], 1e-11);
+  EXPECT_EQ(mismatches(s1, s2), 0u);
 }
 
 TEST(ParallelFci, AllAlphaEdgeCaseMatchesSerial) {
@@ -121,8 +130,49 @@ TEST(ParallelFci, AllAlphaEdgeCaseMatchesSerial) {
   std::vector<double> s1(c.size()), s2(c.size());
   serial->apply(c, s1);
   parallel.apply(c, s2);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    EXPECT_NEAR(s2[i], s1[i], 1e-12);
+  EXPECT_EQ(mismatches(s1, s2), 0u);
+}
+
+TEST(ParallelFci, MakeSigmaBitwiseAcrossRanksAndBackends) {
+  // make_sigma is the same driver on one rank and one thread; every rank
+  // count on the simulated and threads backends reproduces it bit for bit,
+  // with and without the Ms = 0 shortcut, for both algorithms.
+  const auto& tables = be_tables();
+  const xf::CiSpace space(tables.norb, 2, 2, tables.group,
+                          tables.orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, tables);
+  xfci::Rng rng(41);
+  const auto c_any = rng.signed_vector(space.dimension());
+  std::vector<double> c_sym, pc;
+  space.transpose_vector(c_any, pc);
+  for (std::size_t i = 0; i < pc.size(); ++i)
+    c_sym.push_back(0.5 * (c_any[i] + pc[i]));
+
+  for (const auto alg : {xf::Algorithm::kDgemm, xf::Algorithm::kMoc}) {
+    for (const bool ms0 : {false, true}) {
+      const auto& c = ms0 ? c_sym : c_any;
+      std::vector<double> ref(c.size()), s(c.size());
+      xf::make_sigma(alg, ctx, ms0)->apply(c, ref);
+      for (const std::size_t nranks : {2u, 3u, 4u, 7u, 16u}) {
+        for (const auto mode :
+             {fcp::ExecutionMode::kSimulate, fcp::ExecutionMode::kThreads}) {
+          fcp::ParallelOptions opt;
+          opt.num_ranks = nranks;
+          opt.algorithm = alg;
+          opt.ms0_transpose = ms0;
+          opt.execution = mode;
+          opt.num_threads = 2;
+          fcp::ParallelSigma op(ctx, opt);
+          op.apply(c, s);
+          EXPECT_EQ(op.ms0_hits(),
+                    (ms0 && alg == xf::Algorithm::kDgemm) ? 1u : 0u);
+          EXPECT_EQ(mismatches(ref, s), 0u)
+              << xf::algorithm_name(alg) << " ms0=" << ms0 << " P=" << nranks
+              << " mode=" << static_cast<int>(mode);
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelFci, SimulatedTimeIsDeterministic) {

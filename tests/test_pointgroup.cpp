@@ -25,8 +25,11 @@ xc::Molecule water() {
 
 }  // namespace
 
+// The group name is a std::string, not a const char*: gtest names each case
+// after its printed parameter, and a pointer would print its address, which
+// changes from run to run.
 class GroupOrderTest
-    : public ::testing::TestWithParam<std::pair<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::size_t>> {};
 
 TEST_P(GroupOrderTest, OrderAndIrrepCount) {
   const auto [name, order] = GetParam();
@@ -38,10 +41,14 @@ TEST_P(GroupOrderTest, OrderAndIrrepCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGroups, GroupOrderTest,
-    ::testing::Values(std::pair{"C1", 1ul}, std::pair{"Ci", 2ul},
-                      std::pair{"Cs", 2ul}, std::pair{"C2", 2ul},
-                      std::pair{"C2v", 4ul}, std::pair{"C2h", 4ul},
-                      std::pair{"D2", 4ul}, std::pair{"D2h", 8ul}));
+    ::testing::Values(std::pair<std::string, std::size_t>{"C1", 1},
+                      std::pair<std::string, std::size_t>{"Ci", 2},
+                      std::pair<std::string, std::size_t>{"Cs", 2},
+                      std::pair<std::string, std::size_t>{"C2", 2},
+                      std::pair<std::string, std::size_t>{"C2v", 4},
+                      std::pair<std::string, std::size_t>{"C2h", 4},
+                      std::pair<std::string, std::size_t>{"D2", 4},
+                      std::pair<std::string, std::size_t>{"D2h", 8}));
 
 TEST(PointGroup, TrivialIrrepIsIndexZero) {
   for (const char* name : {"C1", "Ci", "Cs", "C2", "C2v", "C2h", "D2", "D2h"}) {

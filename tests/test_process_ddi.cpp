@@ -406,18 +406,32 @@ TEST(ProcessSigma, BitwiseMatchesSimulateForEveryRankCount) {
   opt.num_ranks = 3;
   opt.algorithm = xf::Algorithm::kDgemm;
   const auto reference = run_sigma(ctx, opt, c);
+  const auto serial = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  std::vector<double> s_serial(c.size());
+  serial->apply(c, s_serial);
+  EXPECT_EQ(s_serial, reference);
 
   for (std::size_t nranks : {1u, 2u, 3u}) {
     fcp::ParallelOptions popt = opt;
     popt.execution = fcp::ExecutionMode::kProcess;
     popt.num_ranks = nranks;
     popt.process = fast_params();
-    const auto sigma = run_sigma(ctx, popt, c);
+    fcp::ParallelSigma op(ctx, popt);
+    std::vector<double> sigma(c.size());
+    op.apply(c, sigma);
     // Ordered commit + deterministic per-item layout: the forked build is
     // bitwise identical to the simulated one (same binary, same flags).
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(sigma[i], reference[i])
           << "element " << i << " ranks " << nranks;
+    // The mixed-spin counters cross the address spaces with the payloads;
+    // the work totals do not depend on the column split.
+    EXPECT_EQ(op.stats().dgemm_flops, serial->stats().dgemm_flops) << nranks;
+    EXPECT_EQ(op.stats().indexed_ops, serial->stats().indexed_ops) << nranks;
+    EXPECT_EQ(op.stats().gather_words, serial->stats().gather_words)
+        << nranks;
+    EXPECT_EQ(op.stats().scatter_words, serial->stats().scatter_words)
+        << nranks;
   }
   EXPECT_TRUE(pv::own_segment_names().empty());
 }

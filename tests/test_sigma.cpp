@@ -2,7 +2,8 @@
 // (the paper's algorithm), the MOC baseline, and the explicit
 // Slater-Condon Hamiltonian must agree to machine precision on random
 // symmetry-blocked Hamiltonians across electron counts, point groups and
-// target irreps.
+// target irreps; the distributed driver must reproduce make_sigma bit for
+// bit.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +13,14 @@
 #include "chem/pointgroup.hpp"
 #include "common/rng.hpp"
 #include "fci/fci.hpp"
+#include "fci/parallel_sigma.hpp"
 #include "fci/sigma.hpp"
 #include "fci/slater_condon.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
 namespace xc = xfci::chem;
+namespace fcp = xfci::fcp;
 
 namespace {
 
@@ -69,26 +72,40 @@ void expect_algorithms_agree(const SigmaCase& cs, std::uint64_t seed) {
   const xf::SigmaContext ctx(space, tables);
 
   xf::SigmaDense dense(space, tables);
-  xf::SigmaDgemm dgemm(ctx);
-  xf::SigmaMoc moc(ctx);
-
   xfci::Rng rng(seed + 1);
   const std::vector<double> c = rng.signed_vector(space.dimension());
-  std::vector<double> s_dense(c.size()), s_dgemm(c.size()), s_moc(c.size());
+  std::vector<double> s_dense(c.size());
   dense.apply(c, s_dense);
-  dgemm.apply(c, s_dgemm);
-  moc.apply(c, s_moc);
+  double norm = 0.0;
+  for (const double v : s_dense) norm = std::max(norm, std::abs(v));
 
-  double d1 = 0.0, d2 = 0.0, norm = 0.0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    d1 = std::max(d1, std::abs(s_dgemm[i] - s_dense[i]));
-    d2 = std::max(d2, std::abs(s_moc[i] - s_dense[i]));
-    norm = std::max(norm, std::abs(s_dense[i]));
+  for (const auto alg : {xf::Algorithm::kDgemm, xf::Algorithm::kMoc}) {
+    const auto op = xf::make_sigma(alg, ctx);
+    std::vector<double> s(c.size());
+    op->apply(c, s);
+    double d = 0.0;
+    for (std::size_t i = 0; i < c.size(); ++i)
+      d = std::max(d, std::abs(s[i] - s_dense[i]));
+    EXPECT_LT(d, 1e-11 * std::max(1.0, norm))
+        << xf::algorithm_name(alg) << " vs dense, dim=" << space.dimension();
+
+    // The distributed driver on the simulated backend, with rank counts
+    // that leave uneven (and, in tiny spaces, empty) column slices.
+    for (const std::size_t nranks : {3u, 7u}) {
+      fcp::ParallelOptions opt;
+      opt.num_ranks = nranks;
+      opt.algorithm = alg;
+      fcp::ParallelSigma par(ctx, opt);
+      std::vector<double> sp(c.size());
+      par.apply(c, sp);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < c.size(); ++i)
+        if (sp[i] != s[i]) ++mismatches;
+      EXPECT_EQ(mismatches, 0u)
+          << xf::algorithm_name(alg) << " P=" << nranks
+          << " vs make_sigma, dim=" << space.dimension();
+    }
   }
-  EXPECT_LT(d1, 1e-11 * std::max(1.0, norm))
-      << "dgemm vs dense, dim=" << space.dimension();
-  EXPECT_LT(d2, 1e-11 * std::max(1.0, norm))
-      << "moc vs dense, dim=" << space.dimension();
 }
 
 }  // namespace
@@ -134,14 +151,14 @@ TEST(Sigma, HermiticityOfDgemm) {
   const auto tables = random_tables(6, "C2v", {0, 1, 0, 2, 3, 1}, 99);
   const xf::CiSpace space(6, 2, 2, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
 
   xfci::Rng rng(5);
   const auto x = rng.signed_vector(space.dimension());
   const auto y = rng.signed_vector(space.dimension());
   std::vector<double> hx(x.size()), hy(y.size());
-  op.apply(x, hx);
-  op.apply(y, hy);
+  op->apply(x, hx);
+  op->apply(y, hy);
   double xhy = 0.0, hxy = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     xhy += x[i] * hy[i];
@@ -154,7 +171,7 @@ TEST(Sigma, LinearityOfDgemm) {
   const auto tables = random_tables(5, "C1", {0, 0, 0, 0, 0}, 7);
   const xf::CiSpace space(5, 2, 2, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
 
   xfci::Rng rng(8);
   const auto x = rng.signed_vector(space.dimension());
@@ -162,9 +179,9 @@ TEST(Sigma, LinearityOfDgemm) {
   std::vector<double> z(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) z[i] = 2.0 * x[i] - 3.0 * y[i];
   std::vector<double> hx(x.size()), hy(x.size()), hz(x.size());
-  op.apply(x, hx);
-  op.apply(y, hy);
-  op.apply(z, hz);
+  op->apply(x, hx);
+  op->apply(y, hy);
+  op->apply(z, hz);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(hz[i], 2.0 * hx[i] - 3.0 * hy[i], 1e-11);
 }
@@ -192,16 +209,68 @@ TEST(Sigma, StatsAccumulate) {
                                     11);
   const xf::CiSpace space(6, 3, 3, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
   std::vector<double> c(space.dimension(), 1.0), s(space.dimension());
-  op.apply(c, s);
-  EXPECT_GT(op.stats().dgemm_flops, 0.0);
-  EXPECT_GT(op.stats().gather_words, 0.0);
-  const double f1 = op.stats().dgemm_flops;
-  op.apply(c, s);
-  EXPECT_NEAR(op.stats().dgemm_flops, 2.0 * f1, 1e-6);
-  op.reset_stats();
-  EXPECT_EQ(op.stats().dgemm_flops, 0.0);
+
+  // The counts of one sigma, pinned to the values the former serial
+  // SigmaDgemm / SigmaMoc drivers reported for this space.
+  const auto moc = xf::make_sigma(xf::Algorithm::kMoc, ctx);
+  moc->apply(c, s);
+  EXPECT_EQ(moc->stats().dgemm_flops, 0.0);
+  EXPECT_EQ(moc->stats().indexed_ops, 91200.0);
+  EXPECT_EQ(moc->stats().gather_words, 1200.0);
+  EXPECT_EQ(moc->stats().scatter_words, 0.0);
+  EXPECT_EQ(moc->stats().dgemm_shapes.size(), 0u);
+
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  op->apply(c, s);
+  EXPECT_EQ(op->stats().dgemm_flops, 691200.0);
+  EXPECT_EQ(op->stats().indexed_ops, 9600.0);
+  EXPECT_EQ(op->stats().gather_words, 3600.0);
+  EXPECT_EQ(op->stats().scatter_words, 3600.0);
+  EXPECT_EQ(op->stats().dgemm_shapes.size(), 27u);
+
+  const double f1 = op->stats().dgemm_flops;
+  op->apply(c, s);
+  EXPECT_NEAR(op->stats().dgemm_flops, 2.0 * f1, 1e-6);
+  op->reset_stats();
+  EXPECT_EQ(op->stats().dgemm_flops, 0.0);
+}
+
+TEST(Sigma, StatsIndependentOfThreadCount) {
+  // Per-rank counters fold in rank order and per-task counters at the
+  // ordered commit, so the threads backend reports identical stats --
+  // shape order included -- for any thread count.
+  const auto tables =
+      random_tables(8, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 13);
+  const xf::CiSpace space(8, 3, 2, tables.group, tables.orbital_irreps, 5);
+  const xf::SigmaContext ctx(space, tables);
+  xfci::Rng rng(14);
+  const auto c = rng.signed_vector(space.dimension());
+  std::vector<double> s(c.size());
+  for (const auto alg : {xf::Algorithm::kDgemm, xf::Algorithm::kMoc}) {
+    xf::SigmaStats reference;
+    for (const std::size_t nthreads : {1u, 2u, 4u}) {
+      fcp::ParallelOptions opt;
+      opt.num_ranks = 4;
+      opt.algorithm = alg;
+      opt.execution = fcp::ExecutionMode::kThreads;
+      opt.num_threads = nthreads;
+      fcp::ParallelSigma op(ctx, opt);
+      op.apply(c, s);
+      const xf::SigmaStats& st = op.stats();
+      if (nthreads == 1) {
+        EXPECT_GT(st.indexed_ops, 0.0);
+        reference = st;
+        continue;
+      }
+      EXPECT_EQ(st.dgemm_flops, reference.dgemm_flops) << nthreads;
+      EXPECT_EQ(st.indexed_ops, reference.indexed_ops) << nthreads;
+      EXPECT_EQ(st.gather_words, reference.gather_words) << nthreads;
+      EXPECT_EQ(st.scatter_words, reference.scatter_words) << nthreads;
+      EXPECT_EQ(st.element_count, reference.element_count) << nthreads;
+      EXPECT_EQ(st.dgemm_shapes, reference.dgemm_shapes) << nthreads;
+    }
+  }
 }
 
 TEST(TransposeVector, RoundTripIsIdentity) {
