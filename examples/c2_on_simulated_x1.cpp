@@ -39,6 +39,7 @@
 
 #include <cstdio>
 
+#include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "fci_parallel/driver_cli.hpp"
 #include "fci_parallel/parallel_fci.hpp"
@@ -108,8 +109,10 @@ int main(int argc, char** argv) {
   sopt.restart_path = cli.restart;
   if (cli.max_iters != 0) sopt.max_iterations = cli.max_iters;
 
+  const xfci::Timer run_timer;
   auto res = fcp::run_parallel_fci(sys.tables, sys.nalpha, sys.nbeta,
                                    0, popt, sopt);
+  const double run_seconds = run_timer.seconds();
 
   if (!cli.trace.empty()) tracer.write_chrome_trace(cli.trace);
   if (!cli.metrics.empty()) {
@@ -123,10 +126,16 @@ int main(int argc, char** argv) {
   if (!res.solve.converged && !cli.checkpoint.empty())
     std::printf("              (resume with --restart %s)\n",
                 cli.checkpoint.c_str());
-  std::printf("%s   = %.3f s total, %.3f ms per sigma\n",
-              cli.backend == fcp::ExecutionMode::kSimulate ? "simulated"
-                                                           : "wall time",
-              res.total_seconds, res.per_sigma.total * 1e3);
+  if (cli.backend == fcp::ExecutionMode::kSimulate) {
+    std::printf("simulated   = %.3f s total, %.3f ms per sigma\n",
+                res.total_seconds, res.per_sigma.total * 1e3);
+  } else {
+    // On real backends total_seconds covers only the sigmas; the solve
+    // around them (setup, preconditioner, vector work) is in the wall time.
+    std::printf("in sigma    = %.3f s total, %.3f ms per sigma\n",
+                res.total_seconds, res.per_sigma.total * 1e3);
+    std::printf("wall time   = %.3f s (run_parallel_fci)\n", run_seconds);
+  }
   std::printf("sustained   = %.2f GF per MSP\n\n", res.gflops_per_rank);
 
   const auto& b = res.per_sigma;

@@ -89,7 +89,7 @@ inline constexpr MetricSpec kGemmKernelDispatch{
 // --- pv::Ddi backends ---------------------------------------------------
 inline constexpr MetricSpec kDdiOps{
     "xfci_ddi_ops_total",
-    "One-sided operations issued (get/acc/put), by op and backend."};
+    "One-sided operations issued (get/acc), by op and backend."};
 inline constexpr MetricSpec kDdiWords{
     "xfci_ddi_words_total",
     "Data words moved by one-sided operations, by op and backend."};

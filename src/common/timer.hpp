@@ -2,8 +2,6 @@
 // Wall-clock timing utilities used by the benchmark harnesses.
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace xfci {
 
@@ -33,39 +31,5 @@ double wall_unix_seconds();
 /// drivers that need a real-time pause (e.g. serve_tool --linger holding
 /// the telemetry exporter open for scrapes) stay off raw chrono.
 void sleep_seconds(double seconds);
-
-/// Accumulates named wall-clock phases ("beta-beta", "alpha-beta", ...).
-/// Used by drivers to produce Table-3 style breakdowns.
-class PhaseTimer {
- public:
-  /// Add `seconds` to phase `name`.
-  void add(const std::string& name, double seconds);
-
-  /// Total accumulated for `name` (0 if never recorded).
-  double get(const std::string& name) const;
-
-  const std::map<std::string, double>& phases() const { return phases_; }
-
-  void clear() { phases_.clear(); }
-
- private:
-  std::map<std::string, double> phases_;
-};
-
-/// RAII guard: times a scope and adds it to a PhaseTimer on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer& sink, std::string name)
-      : sink_(sink), name_(std::move(name)) {}
-  ~ScopedPhase() { sink_.add(name_, timer_.seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& sink_;
-  std::string name_;
-  Timer timer_;
-};
 
 }  // namespace xfci

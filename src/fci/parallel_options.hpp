@@ -55,10 +55,6 @@ struct ParallelOptions {
   /// Fault injection: installed into the simulated machine (kSimulate);
   /// the threads backend consults the worker-death schedule (kThreads).
   pv::FaultPlan faults;
-  /// Reassignments allowed per aggregated DLB task before the run aborts.
-  std::size_t max_task_retries = 3;
-  /// Retransmissions allowed per one-sided op before the run aborts.
-  std::size_t max_op_retries = 8;
   /// Span/instant sink, installed into the backend at construction
   /// (nullptr — the default — records nothing and costs nothing; see
   /// common/trace.hpp).  The driver owns the Tracer and writes the

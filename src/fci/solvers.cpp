@@ -73,7 +73,6 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
                     [&](std::size_t a, std::size_t b) {
                       return diag_[a] < diag_[b];
                     });
-  lowest_ = order[0];
   model_.assign(order.begin(), order.begin() + m);
 
   // Close the model set under the alpha/beta transpose when it exists:

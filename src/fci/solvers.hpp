@@ -113,9 +113,6 @@ class ModelSpacePreconditioner {
   void apply_inverse(double e, std::span<const double> x,
                      std::span<double> y) const;
 
-  /// Index (into the flat CI vector) of the lowest-diagonal determinant.
-  std::size_t lowest_index() const { return lowest_; }
-
   /// Ground eigenvector of the model-space Hamiltonian scattered into a
   /// full CI vector: the solver's initial guess.
   std::vector<double> initial_guess(std::size_t dimension) const;
@@ -130,7 +127,6 @@ class ModelSpacePreconditioner {
   std::vector<std::size_t> model_;   // flat indices of model determinants
   std::vector<std::size_t> inv_;     // flat index -> model position or npos
   linalg::Matrix hmm_;               // model-space Hamiltonian
-  std::size_t lowest_ = 0;
 };
 
 /// Solves for the lowest eigenpair of the sigma operator.  `precond`, when

@@ -11,6 +11,10 @@
 namespace xfci::fcp {
 namespace {
 
+/// Cost-model overhead scaling shared by the small-system drivers
+/// (EXPERIMENTS.md): latencies scaled with the problem size.
+constexpr double kOverheadScale = 0.02;
+
 [[noreturn]] void usage_error(const char* prog, const char* bad) {
   std::fprintf(stderr,
                "%s: unknown, incomplete or malformed argument '%s'\n"
@@ -137,7 +141,7 @@ DriverCli DriverCli::parse(int argc, char** argv,
 ParallelOptions DriverCli::parallel_options() const {
   ParallelOptions popt;
   popt.num_ranks = num_ranks;
-  popt.cost = popt.cost.with_overhead_scale(overhead_scale);
+  popt.cost = popt.cost.with_overhead_scale(kOverheadScale);
   popt.execution = backend;
   popt.num_threads = num_threads;
   return popt;

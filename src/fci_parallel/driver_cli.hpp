@@ -66,9 +66,6 @@ struct DriverCli {
   /// state keeps no-flag runs bitwise identical (registry stays disabled).
   bool telemetry_wanted = false;
   std::size_t linger = 0;  ///< post-drain scrape window, seconds
-  /// Cost-model overhead scaling shared by the small-system drivers
-  /// (EXPERIMENTS.md): latencies scaled with the problem size.
-  double overhead_scale = 0.02;
 
   static DriverCli parse(int argc, char** argv,
                          std::size_t default_ranks = 16);

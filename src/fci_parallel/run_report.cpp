@@ -94,10 +94,8 @@ std::string RunMetrics::to_json() const {
     w.key("flops").num(r < rank_flops.size() ? rank_flops[r] : 0.0);
     w.key("get_words").num(cc.get_words);
     w.key("acc_words").num(cc.acc_words);
-    w.key("put_words").num(cc.put_words);
     w.key("get_calls").uint(cc.get_calls);
     w.key("acc_calls").uint(cc.acc_calls);
-    w.key("put_calls").uint(cc.put_calls);
     w.key("dlb_calls").uint(cc.dlb_calls);
     w.key("ops_dropped").uint(cc.ops_dropped);
     w.key("ops_delayed").uint(cc.ops_delayed);

@@ -18,10 +18,6 @@ void axpby(double alpha, std::span<const double> x, double beta,
     y[i] = alpha * x[i] + beta * y[i];
 }
 
-void scal(double alpha, std::span<double> x) {
-  for (auto& v : x) v *= alpha;
-}
-
 double dot(std::span<const double> x, std::span<const double> y) {
   XFCI_REQUIRE(x.size() == y.size(), "dot size mismatch");
   double s = 0.0;

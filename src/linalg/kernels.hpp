@@ -18,9 +18,6 @@ void daxpy(double alpha, std::span<const double> x, std::span<double> y);
 void axpby(double alpha, std::span<const double> x, double beta,
            std::span<double> y);
 
-/// x *= alpha.
-void scal(double alpha, std::span<double> x);
-
 /// Euclidean dot product.
 double dot(std::span<const double> x, std::span<const double> y);
 

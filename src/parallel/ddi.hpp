@@ -2,18 +2,21 @@
 // A DDI-style one-sided communication layer (the paper's section 2 stack).
 //
 // The paper's FCI program never touches the transport directly: the sigma
-// algorithm talks to the Distributed Data Interface -- DDI_GET / DDI_ACC /
-// DDI_PUT, barriers, and a shared dynamic-load-balancing counter
-// (DDI_DLBNEXT, a SHMEM_SWAP on a server rank) -- and DDI is in turn
-// implemented over SHMEM on the X1.  pv::Ddi reproduces that seam: the
-// phase engines in src/fci/ speak only this interface, and a
-// backend supplies the transport, the clocks, and the failure semantics.
+// algorithm talks to the Distributed Data Interface -- DDI_GET / DDI_ACC,
+// barriers, and a shared dynamic-load-balancing counter (DDI_DLBNEXT, a
+// SHMEM_SWAP on a server rank) -- and DDI is in turn implemented over
+// SHMEM on the X1.  pv::Ddi reproduces that seam: the phase engines in
+// src/fci/ speak only this interface, and a backend supplies the
+// transport, the clocks, and the failure semantics.  The DLB counter is
+// claimed inside each backend's run_pool, so it is not part of the
+// interface.
 //
 // Backends:
-//  * SimulatedDdi (make_simulated_ddi): the discrete-event pv::Machine --
-//    per-rank simulated clocks, calibrated x1::CostModel charges, fault
-//    injection.  The workers are the simulated ranks; parallel regions run
-//    sequentially, so a run is a pure function of its inputs.
+//  * SimulatedDdi (make_simulated_ddi): a discrete-event virtual X1 --
+//    per-rank simulated clocks, calibrated x1::CostModel charges, receiver
+//    congestion, a serialized DLB server, fault injection.  The workers
+//    are the simulated ranks; parallel regions run sequentially, so a run
+//    is a pure function of its inputs.
 //  * ThreadsDdi (make_threads_ddi): real shared-memory execution on a
 //    pv::ThreadTeam.  One-sided ops are delivered no-ops (every rank's
 //    columns live in the shared address space), clocks are wall time, and
@@ -27,8 +30,8 @@
 //
 // Concurrency contract: a Ddi instance is owned by one driver thread.
 // Methods called *inside* parallel regions (the for_ranks/for_range/
-// run_pool bodies: charge_*, one-sided ops, next_task, now) must be safe
-// for concurrent rank-/worker-disjoint use — backends keep their state
+// run_pool bodies: charge_*, one-sided ops, now) must be safe for
+// concurrent rank-/worker-disjoint use — backends keep their state
 // either slot-disjoint or atomic (see ThreadsDdi in ddi.cpp), never behind
 // a lock a body could block on.  Everything else (set_tracer, counters,
 // flops, barrier, run_pool entry) is driver-thread-only, called between
@@ -36,14 +39,13 @@
 // capability annotations (DESIGN.md §13).
 //
 // Seam for a real transport: an MPI or native-SHMEM backend plugs in as a
-// third implementation of this interface -- get/acc/put map onto
-// MPI_Get/MPI_Accumulate/MPI_Put (or shmem_getmem + atomics), next_task
-// onto MPI_Fetch_and_op / shmem_swap against rank 0, barrier onto
+// fourth implementation of this interface -- get/acc map onto
+// MPI_Get/MPI_Accumulate (or shmem_getmem + atomics), barrier onto
 // MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over
-// next_task with the same staged-commit hooks.  The charge_* methods
-// become no-ops (real time is measured, not modeled) exactly as in
-// ThreadsDdi, and nothing in the phase engines changes.  See DESIGN.md
-// section 10 for the layer diagram.
+// MPI_Fetch_and_op / shmem_swap against rank 0 with the same
+// staged-commit hooks.  The charge_* methods become no-ops (real time is
+// measured, not modeled) exactly as in ThreadsDdi, and nothing in the
+// phase engines changes.  See DESIGN.md section 10 for the layer diagram.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,10 +65,8 @@ class TaskPool;
 struct CommCounters {
   double get_words = 0.0;
   double acc_words = 0.0;  ///< logical payload words (wire traffic is 2x)
-  double put_words = 0.0;
   std::size_t get_calls = 0;
   std::size_t acc_calls = 0;
-  std::size_t put_calls = 0;
   std::size_t dlb_calls = 0;
   std::size_t ops_dropped = 0;  ///< one-sided ops lost by fault injection
   std::size_t ops_delayed = 0;  ///< one-sided ops delayed by fault injection
@@ -102,8 +102,6 @@ class Ddi {
                         double words) = 0;
   virtual OpOutcome acc(std::size_t rank, std::size_t owner,
                         double words) = 0;
-  virtual OpOutcome put(std::size_t rank, std::size_t owner,
-                        double words) = 0;
   /// All-to-all participation of one rank: `remote_words` spread over
   /// `peers` messages (distributed transposes, MOC collective gather).
   virtual void alltoall(std::size_t rank, std::size_t peers,
@@ -138,11 +136,8 @@ class Ddi {
   virtual double imbalance() const = 0;
 
   // --- dynamic load balancing -----------------------------------------------
-  /// Claims the next global task id from the shared DLB counter
-  /// (DDI_DLBNEXT); `rank` pays the server round-trip where modeled.
-  virtual std::size_t next_task(std::size_t rank) = 0;
-  /// Rewinds the shared DLB counter to task 0 (start of a dynamic phase).
-  virtual void reset_task_counter() = 0;
+  /// Reassignments allowed per aggregated task before run_pool aborts.
+  static constexpr std::size_t kMaxTaskRetries = 3;
 
   /// Hooks of the resilient aggregated-task pool driver (run_pool).
   struct PoolHooks {
@@ -156,8 +151,6 @@ class Ddi {
     /// Invoked when a worker death interrupts a task, before the task is
     /// reassigned (the phase layer redistributes columns here).
     std::function<void()> on_worker_death;
-    /// Reassignments allowed per aggregated task before the run aborts.
-    std::size_t max_task_retries = 3;
 
     // Address-space-crossing hooks, consumed only by backends whose
     // workers are separate OS processes (ProcessDdi): a child's writes to
@@ -189,7 +182,8 @@ class Ddi {
   };
 
   /// Runs every chunk of `pool` through stage-then-commit with dynamic
-  /// load balancing and task-level fault recovery.  Commit order equals
+  /// load balancing (chunks are claimed from the backend's DLB counter,
+  /// DDI_DLBNEXT) and task-level fault recovery.  Commit order equals
   /// global item order, so the accumulation is bitwise identical across
   /// backends and worker counts.
   virtual PoolStats run_pool(const TaskPool& pool, const PoolHooks& hooks) = 0;
@@ -212,7 +206,7 @@ class Ddi {
   /// backend, plus one control track), labels the tracks, points the
   /// tracer's clock at its own domain — simulated seconds or wall
   /// seconds — and from then on emits DLB task spans and claim/death
-  /// instants from run_pool/next_task.  Layers above add phase, solver
+  /// instants from run_pool.  Layers above add phase, solver
   /// and checkpoint spans through tracer().
   virtual void set_tracer(obs::Tracer* tracer) = 0;
   /// The attached tracer, or nullptr when tracing is off.
@@ -230,19 +224,19 @@ class Ddi {
   virtual double total_flops() const = 0;
 
   /// Total one-sided words moved so far: gets + 2x accumulates (payload +
-  /// applied result) + puts, summed over ranks.
+  /// applied result), summed over ranks.
   double comm_words() const {
     double w = 0.0;
     for (std::size_t r = 0; r < num_ranks(); ++r) {
       const CommCounters& cc = counters(r);
-      w += cc.get_words + 2.0 * cc.acc_words + cc.put_words;
+      w += cc.get_words + 2.0 * cc.acc_words;
     }
     return w;
   }
 };
 
-/// Discrete-event simulated backend over pv::Machine (`num_ranks` MSPs
-/// with `cost` charges; `faults` installed and armed).
+/// Discrete-event simulated X1 (`num_ranks` MSPs with `cost` charges;
+/// `faults` installed and armed).
 std::unique_ptr<Ddi> make_simulated_ddi(std::size_t num_ranks,
                                         const x1::CostModel& cost,
                                         const FaultPlan& faults);

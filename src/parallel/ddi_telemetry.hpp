@@ -3,7 +3,7 @@
 //
 // Each backend instance owns one of these, created at construction with
 // its `backend` label ("sim" / "threads" / "process"), and ticks it next
-// to the accounting it already does: op/word counters in get/acc/put,
+// to the accounting it already does: op/word counters in get/acc,
 // task reassignment in run_pool recovery.  Failure-domain counters that
 // are backend-agnostic (retransmits, ranks lost) are incremented by the
 // phase engines instead, which see every backend through the same
@@ -21,18 +21,18 @@
 namespace xfci::pv {
 
 struct DdiTelemetry {
-  enum Op { kGet = 0, kAcc = 1, kPut = 2 };
+  enum Op { kGet = 0, kAcc = 1 };
 
-  obs::Counter ops[3];
-  obs::Counter words[3];
+  obs::Counter ops[2];
+  obs::Counter words[2];
   obs::Counter tasks_reassigned;
 
   static DdiTelemetry make(const char* backend) {
     namespace m = obs::metric;
     obs::Registry& reg = obs::telemetry();
     DdiTelemetry t;
-    const char* kOpNames[3] = {"get", "acc", "put"};
-    for (int i = 0; i < 3; ++i) {
+    const char* kOpNames[2] = {"get", "acc"};
+    for (int i = 0; i < 2; ++i) {
       t.ops[i] = reg.counter(m::kDdiOps, {{m::kLabelOp, kOpNames[i]},
                                           {m::kLabelBackend, backend}});
       t.words[i] = reg.counter(m::kDdiWords, {{m::kLabelOp, kOpNames[i]},

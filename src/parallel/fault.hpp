@@ -1,12 +1,12 @@
 #pragma once
 // Deterministic fault injection for the virtual parallel machine.
 //
-// The pv::Machine is a pure function of its inputs: scheduling is decided
-// on simulated clocks with rank-id tie breaking, and every charge is
-// computed from the cost model.  A FaultPlan exploits that purity to make
-// failures exactly reproducible -- the same plan against the same workload
-// produces the same deaths, the same lost messages and the same recovery
-// path on every run.
+// The simulated pv::Ddi backend is a pure function of its inputs:
+// scheduling is decided on simulated clocks with rank-id tie breaking, and
+// every charge is computed from the cost model.  A FaultPlan exploits that
+// purity to make failures exactly reproducible -- the same plan against
+// the same workload produces the same deaths, the same lost messages and
+// the same recovery path on every run.
 //
 // Three failure classes are modeled (DESIGN.md "Failure model"):
 //
@@ -15,7 +15,7 @@
 //    lost acknowledgement) or once its clock passes a simulated time
 //    (detected at the next barrier).  A dead rank's clock freezes and it
 //    is excluded from DLB scheduling, barriers and imbalance accounting.
-//  * Lost / delayed one-sided operations.  The n-th get/acc/put of a rank
+//  * Lost / delayed one-sided operations.  The n-th get/acc of a rank
 //    can be dropped (the payload never arrives; the requester notices via
 //    an acknowledgement timeout and retransmits) or delayed by a fixed
 //    amount.  Drops are defined to happen *before* the remote side applies
@@ -50,8 +50,8 @@ enum class OpOutcome { kDelivered, kDropped };
 // only *read* from parallel regions — worker_death_claim/on_one_sided are
 // pure lookups on the frozen tables, so concurrent workers need no lock.
 // The mutable alive masks and per-rank op counters derived from the plan
-// live in pv::Machine (driver-thread-confined) and in run_pool locals,
-// never in the shared plan.
+// live in the backends (the simulated one is driver-thread-confined) and
+// in run_pool locals, never in the shared plan.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -63,7 +63,7 @@ class FaultPlan {
   FaultPlan& kill_rank_at_time(std::size_t rank, double seconds);
 
   /// Rank `rank` crashes while issuing its `op`-th one-sided operation
-  /// (1-based, counted over its record_get/acc/put calls); the operation
+  /// (1-based, counted over its get/acc calls); the operation
   /// never completes.
   FaultPlan& kill_rank_at_op(std::size_t rank, std::size_t op);
 
@@ -93,7 +93,7 @@ class FaultPlan {
   /// True when the plan injects nothing (the default-constructed state).
   bool empty() const;
 
-  // --- queries (consumed by pv::Machine and the threads backend) -----------
+  // --- queries (consumed by the Ddi backends) --------------------------------
   /// Straggler multiplier for `rank` (1.0 when not slowed).
   double slowdown(std::size_t rank) const;
 

@@ -74,10 +74,10 @@ struct alignas(64) RankCell {
   std::atomic<std::uint64_t> ops{0};        ///< one-sided op index (1-based)
   std::atomic<std::uint64_t> claims{0};     ///< cumulative chunk claims
   // Comm / flop accounting (CommCounters is rebuilt from these on read).
-  std::atomic<std::uint64_t> get_calls{0}, acc_calls{0}, put_calls{0};
+  std::atomic<std::uint64_t> get_calls{0}, acc_calls{0};
   std::atomic<std::uint64_t> dlb_calls{0};
   std::atomic<std::uint64_t> ops_dropped{0}, ops_delayed{0};
-  std::atomic<double> get_words{0.0}, acc_words{0.0}, put_words{0.0};
+  std::atomic<double> get_words{0.0}, acc_words{0.0};
   std::atomic<double> flop_sum{0.0};
 };
 
@@ -166,13 +166,10 @@ class ProcessDdi final : public Ddi {
   // FaultPlan op-count death fires dies HERE, mid-operation, by its own
   // hand — a genuine SIGKILL the driver must detect from outside.
   OpOutcome get(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(0, rank, owner, words);
+    return one_sided(DdiTelemetry::kGet, rank, owner, words);
   }
   OpOutcome acc(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(1, rank, owner, words);
-  }
-  OpOutcome put(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(2, rank, owner, words);
+    return one_sided(DdiTelemetry::kAcc, rank, owner, words);
   }
   void alltoall(std::size_t, std::size_t, double) override {
     // Distributed transposes run in the driver's address space on this
@@ -208,18 +205,6 @@ class ProcessDdi final : public Ddi {
   double elapsed() const override { return timer_.seconds(); }
   double imbalance() const override { return 0.0; }
 
-  std::size_t next_task(std::size_t rank) override {
-    cell(rank).dlb_calls.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t t =
-        control_header()->dlb_next.fetch_add(1, std::memory_order_acq_rel);
-    if (!in_child_ && tracer_ != nullptr && tracer_->enabled())
-      tracer_->instant(rank, "dlb", "dlb_claim", timer_.seconds());
-    return static_cast<std::size_t>(t);
-  }
-  void reset_task_counter() override {
-    control_header()->dlb_next.store(0, std::memory_order_release);
-  }
-
   void set_tracer(obs::Tracer* tracer) override {
     tracer_ = tracer;
     if (tracer_ == nullptr) return;
@@ -253,10 +238,8 @@ class ProcessDdi final : public Ddi {
     CommCounters& cc = counters_cache_[rank];
     cc.get_words = c.get_words.load(std::memory_order_relaxed);
     cc.acc_words = c.acc_words.load(std::memory_order_relaxed);
-    cc.put_words = c.put_words.load(std::memory_order_relaxed);
     cc.get_calls = c.get_calls.load(std::memory_order_relaxed);
     cc.acc_calls = c.acc_calls.load(std::memory_order_relaxed);
-    cc.put_calls = c.put_calls.load(std::memory_order_relaxed);
     cc.dlb_calls = c.dlb_calls.load(std::memory_order_relaxed);
     cc.ops_dropped = c.ops_dropped.load(std::memory_order_relaxed);
     cc.ops_delayed = c.ops_delayed.load(std::memory_order_relaxed);
@@ -308,9 +291,22 @@ class ProcessDdi final : public Ddi {
     ::usleep(static_cast<useconds_t>(params_.poll_micros));
   }
 
+  // --- DLB counter (DDI_DLBNEXT: the SHMEM_SWAP word in the arena) ----------
+  std::size_t next_task(std::size_t rank) {
+    cell(rank).dlb_calls.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t t =
+        control_header()->dlb_next.fetch_add(1, std::memory_order_acq_rel);
+    if (!in_child_ && tracer_ != nullptr && tracer_->enabled())
+      tracer_->instant(rank, "dlb", "dlb_claim", timer_.seconds());
+    return static_cast<std::size_t>(t);
+  }
+  void reset_task_counter() {
+    control_header()->dlb_next.store(0, std::memory_order_release);
+  }
+
   // --- one-sided accounting + fault triggers --------------------------------
-  OpOutcome one_sided(int kind, std::size_t rank, std::size_t owner,
-                      double words) {
+  OpOutcome one_sided(DdiTelemetry::Op op_kind, std::size_t rank,
+                      std::size_t owner, double words) {
     if (!alive(rank) || !alive(owner)) return OpOutcome::kDropped;
     RankCell& c = cell(rank);
     const std::uint64_t op =
@@ -330,21 +326,14 @@ class ProcessDdi final : public Ddi {
       c.ops_dropped.fetch_add(1, std::memory_order_relaxed);
       return OpOutcome::kDropped;
     }
-    switch (kind) {
-      case 0:
-        c.get_calls.fetch_add(1, std::memory_order_relaxed);
-        c.get_words.fetch_add(words, std::memory_order_relaxed);
-        break;
-      case 1:
-        c.acc_calls.fetch_add(1, std::memory_order_relaxed);
-        c.acc_words.fetch_add(words, std::memory_order_relaxed);
-        break;
-      default:
-        c.put_calls.fetch_add(1, std::memory_order_relaxed);
-        c.put_words.fetch_add(words, std::memory_order_relaxed);
-        break;
+    if (op_kind == DdiTelemetry::kAcc) {
+      c.acc_calls.fetch_add(1, std::memory_order_relaxed);
+      c.acc_words.fetch_add(words, std::memory_order_relaxed);
+    } else {
+      c.get_calls.fetch_add(1, std::memory_order_relaxed);
+      c.get_words.fetch_add(words, std::memory_order_relaxed);
     }
-    tm_.note_op(static_cast<DdiTelemetry::Op>(kind), words);
+    tm_.note_op(op_kind, words);
     return OpOutcome::kDelivered;
   }
 
@@ -738,7 +727,7 @@ void ProcessDdi::exit_barrier() {
 
 void ProcessDdi::reassign(std::size_t chunk, const PoolHooks& hooks,
                           PoolStats& st) {
-  XFCI_REQUIRE(retries_[chunk] < hooks.max_task_retries,
+  XFCI_REQUIRE(retries_[chunk] < kMaxTaskRetries,
                "aggregated DLB task exceeded its reassignment budget");
   ++retries_[chunk];
   st.tasks_reassigned += 1;

@@ -3,8 +3,7 @@
 // (process_ddi.cpp): named shm segments with RAII unlink, orphan hygiene
 // and the parent-death tether.  This file and process_ddi.* are the only
 // places in the tree allowed to touch the raw ipc syscalls (fork / mmap /
-// shm_open / kill ...) — the xfci_lint `layering` rule fences them here,
-// exactly as pv::Machine is fenced inside src/parallel/.
+// shm_open / kill ...) — the xfci_lint `ipc-fence` rule fences them here.
 //
 // Segment naming: every segment is created as /xfci-<creator pid>-<seq>.
 // The pid in the name is what makes stale segments reapable: a segment

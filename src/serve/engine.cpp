@@ -16,6 +16,9 @@
 namespace xfci::serve {
 namespace {
 
+/// Lock shards of the engine's setup cache.
+constexpr std::size_t kCacheShards = 8;
+
 std::string_view as_bytes(const double* data, std::size_t count) {
   return std::string_view(reinterpret_cast<const char*>(data),
                           count * sizeof(double));
@@ -74,8 +77,7 @@ std::string job_state_name(JobState s) {
 
 Engine::Engine(const EngineOptions& options)
     : options_(options),
-      cache_(options.cache_shards == 0 ? 1 : options.cache_shards,
-             options.cache_byte_budget),
+      cache_(kCacheShards, options.cache_byte_budget),
       team_(options.num_workers),
       tm_(make_telemetry()) {}
 

@@ -118,7 +118,6 @@ struct EngineOptions {
   /// Admission cap on jobs waiting in the queues (0 = unlimited).
   std::size_t max_pending = 0;
   bool cache_enabled = true;
-  std::size_t cache_shards = 8;
   /// Total setup-cache byte budget, split across shards (0 = unlimited).
   std::size_t cache_byte_budget = 0;
   /// "run" label stamped into the metrics report.

@@ -6,7 +6,8 @@
 // grouped four to an SMP node, connected by a high-bandwidth interconnect
 // and programmed through SHMEM one-sided operations.  This host has none
 // of that, so the parallel benchmarks run the real algorithms through the
-// pv::Machine simulator and charge time with this model.
+// simulated pv::Ddi backend (pv::make_simulated_ddi) and charge time with
+// this model.
 //
 // Kernel rates follow the X1 evaluation report the paper cites (Worley &
 // Dunigan, "Early Evaluation of the Cray X1", CUG 2003) and the paper's own
@@ -41,9 +42,6 @@ struct CostModel {
 
   double get_latency = 5.0e-6;       ///< one-sided get latency (s)
   double get_bandwidth = 4.0e9;      ///< bytes/s per MSP for remote get
-  /// One-sided put latency: lower than get (fire-and-forget store vs. a
-  /// full network round trip for the reply payload).
-  double put_latency = 3.0e-6;
   double acc_lock_overhead = 6.0e-6; ///< mutex acquire/release + quiet
   double dlb_latency = 8.0e-6;       ///< SHMEM_SWAP on the DLB server
   double barrier_cost = 20.0e-6;     ///< full-machine barrier
@@ -80,16 +78,13 @@ struct CostModel {
   /// Seconds (at the requester) for a one-sided get of `words` doubles.
   double get_seconds(double words) const;
 
-  /// Seconds (at the requester) for a one-sided put of `words` doubles.
-  double put_seconds(double words) const;
-
   /// Seconds (at the requester) for a one-sided accumulate of `words`
   /// doubles: get + local add + put = twice the traffic, plus the lock.
   double acc_seconds(double words) const;
 
   /// Node-bandwidth occupancy at a target absorbing `words` doubles that
-  /// arrive once (put / get service / all-to-all traffic); the per-target
-  /// congestion bound charged to Machine::recv_busy_.
+  /// arrive once (all-to-all traffic); the per-target congestion bound
+  /// the simulated backend charges to each receiver.
   double recv_target_seconds(double words) const;
 
   /// Receive-side occupancy of an accumulate: the target is touched twice

@@ -1,14 +1,18 @@
-// Tests for the parallel substrate: the virtual machine's simulated-time
-// accounting, the task pool aggregation (paper Fig. 3), and the column
+// Tests for the parallel substrate: the simulated backend's simulated-time
+// accounting and dead-rank semantics (frozen clocks, exclusion from
+// scheduling and barriers), the task pool aggregation (paper Fig. 3), and the column
 // distribution.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <vector>
 
+#include "common/error.hpp"
 #include "fci/ci_space.hpp"
 #include "fci/distribution.hpp"
-#include "parallel/machine.hpp"
+#include "parallel/ddi.hpp"
 #include "parallel/task_pool.hpp"
 
 namespace pv = xfci::pv;
@@ -16,35 +20,62 @@ namespace fcp = xfci::fcp;
 namespace xf = xfci::fci;
 namespace xc = xfci::chem;
 
+namespace {
+
+/// Runs `num_chunks` single-item DLB tasks through the backend's run_pool
+/// (stage does no work) and returns the rank that claimed each one.
+std::vector<std::size_t> claimants(pv::Ddi& ddi, std::size_t num_chunks) {
+  pv::TaskPoolParams fine;
+  fine.aggregate = false;
+  const pv::TaskPool pool(num_chunks, ddi.num_ranks(), fine);
+  std::vector<std::size_t> ranks;
+  pv::Ddi::PoolHooks hooks;
+  hooks.stage = [&](std::size_t, std::size_t rank) {
+    ranks.push_back(rank);
+    return true;
+  };
+  hooks.commit = [](std::size_t) {};
+  ddi.run_pool(pool, hooks);
+  return ranks;
+}
+
+std::unique_ptr<pv::Ddi> sim(std::size_t num_ranks,
+                             const xfci::x1::CostModel& cost = {}) {
+  return pv::make_simulated_ddi(num_ranks, cost, pv::FaultPlan{});
+}
+
+}  // namespace
+
 TEST(Machine, ClocksAccumulate) {
-  pv::Machine m(4);
-  m.charge(0, 1.0);
-  m.charge(0, 0.5);
-  m.charge(2, 2.0);
-  EXPECT_DOUBLE_EQ(m.clock(0), 1.5);
-  EXPECT_DOUBLE_EQ(m.clock(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.clock(2), 2.0);
-  EXPECT_EQ(m.earliest_rank(), 1u);
-  EXPECT_DOUBLE_EQ(m.elapsed(), 2.0);
+  const auto m = sim(4);
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(0, 0.5);
+  m->charge_seconds(2, 2.0);
+  EXPECT_DOUBLE_EQ(m->now(0), 1.5);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
+  EXPECT_DOUBLE_EQ(m->now(2), 2.0);
+  EXPECT_DOUBLE_EQ(m->elapsed(), 2.0);
+  // The next DLB task goes to the earliest rank (ties by rank id).
+  EXPECT_EQ(claimants(*m, 1), std::vector<std::size_t>{1});
 }
 
 TEST(Machine, BarrierSynchronizesAndMeasuresImbalance) {
-  pv::Machine m(3);
-  m.charge(0, 1.0);
-  m.charge(1, 3.0);
-  const double t = m.barrier();
-  EXPECT_NEAR(m.last_imbalance(), 3.0, 1e-12);
+  const auto m = sim(3);
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(1, 3.0);
+  const double t = m->barrier();
+  EXPECT_NEAR(m->imbalance(), 3.0, 1e-12);
   EXPECT_GE(t, 3.0);  // max + barrier cost
-  for (std::size_t r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(m.clock(r), t);
+  for (std::size_t r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(m->now(r), t);
 }
 
 TEST(Machine, LocalGetIsCheaperThanRemote) {
-  pv::Machine a(2), b(2);
-  a.record_get(0, 0, 1000.0);  // local
-  b.record_get(0, 1, 1000.0);  // remote
-  EXPECT_LT(a.clock(0), b.clock(0));
-  EXPECT_DOUBLE_EQ(a.counters(0).get_words, 0.0);
-  EXPECT_DOUBLE_EQ(b.counters(0).get_words, 1000.0);
+  const auto a = sim(2), b = sim(2);
+  a->get(0, 0, 1000.0);  // local
+  b->get(0, 1, 1000.0);  // remote
+  EXPECT_LT(a->now(0), b->now(0));
+  EXPECT_DOUBLE_EQ(a->counters(0).get_words, 0.0);
+  EXPECT_DOUBLE_EQ(b->counters(0).get_words, 1000.0);
 }
 
 TEST(Machine, AccCostsTwiceGetTraffic) {
@@ -55,60 +86,32 @@ TEST(Machine, AccCostsTwiceGetTraffic) {
 }
 
 TEST(Machine, DlbServerSerializes) {
-  pv::Machine m(4);
-  // All ranks request at time zero; the server handles them one at a time.
-  for (std::size_t r = 0; r < 4; ++r) m.record_dlb_request(r);
-  const double dt = m.model().dlb_latency;
-  EXPECT_NEAR(m.clock(0), dt, 1e-12);
-  EXPECT_NEAR(m.clock(1), 2 * dt, 1e-12);
-  EXPECT_NEAR(m.clock(3), 4 * dt, 1e-12);
+  const auto m = sim(4);
+  // All ranks request at time zero; the server handles them one at a time,
+  // so each claim goes to the next idle rank and lands one round-trip later.
+  EXPECT_EQ(claimants(*m, 4), (std::vector<std::size_t>{0, 1, 2, 3}));
+  const double dt = xfci::x1::CostModel{}.dlb_latency;
+  EXPECT_NEAR(m->now(0), dt, 1e-12);
+  EXPECT_NEAR(m->now(1), 2 * dt, 1e-12);
+  EXPECT_NEAR(m->now(2), 3 * dt, 1e-12);
+  EXPECT_NEAR(m->now(3), 4 * dt, 1e-12);
+  for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(m->counters(r).dlb_calls, 1u);
 }
 
 TEST(Machine, ReceiverCongestionBoundsBarrier) {
-  pv::Machine m(8);
+  const xfci::x1::CostModel cm;
+  const auto m = sim(8, cm);
   // Everyone accumulates a huge payload into rank 0; the barrier cannot
   // complete before rank 0 has absorbed it all.
   double requester_max = 0.0;
   for (std::size_t r = 1; r < 8; ++r) {
-    m.record_acc(r, 0, 1e8);
-    requester_max = std::max(requester_max, m.clock(r));
+    m->acc(r, 0, 1e8);
+    requester_max = std::max(requester_max, m->now(r));
   }
-  const double t = m.barrier();
-  const double absorb = 7 * m.model().acc_target_seconds(1e8);
+  const double t = m->barrier();
+  const double absorb = 7 * cm.acc_target_seconds(1e8);
   EXPECT_GE(t, absorb);
   EXPECT_GT(t, requester_max);
-}
-
-TEST(Machine, PutChargesSenderAndCongestsReceiver) {
-  pv::Machine m(8);
-  // Everyone puts a huge payload into rank 0: senders pay the one-way
-  // transfer, and the barrier cannot complete before rank 0's node has
-  // absorbed all of it at its receive bandwidth.
-  double sender_max = 0.0;
-  for (std::size_t r = 1; r < 8; ++r) {
-    m.record_put(r, 0, 1e9);
-    EXPECT_DOUBLE_EQ(m.counters(r).put_words, 1e9);
-    sender_max = std::max(sender_max, m.clock(r));
-  }
-  EXPECT_NEAR(sender_max, m.model().put_seconds(1e9), 1e-12);
-  const double t = m.barrier();
-  const double absorb = 7 * m.model().recv_target_seconds(1e9);
-  EXPECT_GE(t, absorb);
-  EXPECT_GT(t, sender_max);
-  // A local put is an indexed copy, not a network transfer.
-  pv::Machine local(2);
-  local.record_put(0, 0, 1e9);
-  EXPECT_DOUBLE_EQ(local.counters(0).put_words, 0.0);
-  EXPECT_LT(local.clock(0), m.model().put_seconds(1e9));
-}
-
-TEST(CostModel, PutIsOneWayTraffic) {
-  const xfci::x1::CostModel cm;
-  const double words = 1e7;
-  // One-sided put moves the payload once; an accumulate moves it twice
-  // (get + put) plus the lock.
-  EXPECT_NEAR(cm.acc_seconds(words) / cm.put_seconds(words), 2.0, 0.02);
-  EXPECT_LT(cm.put_seconds(1.0), cm.get_seconds(1.0));  // no round trip
 }
 
 TEST(Machine, AlltoallCongestsReceivers) {
@@ -117,11 +120,11 @@ TEST(Machine, AlltoallCongestsReceivers) {
   // node_bandwidth < get_bandwidth.
   xfci::x1::CostModel cm;
   cm.node_bandwidth = cm.get_bandwidth / 4.0;
-  pv::Machine m(4, cm);
+  const auto m = sim(4, cm);
   const double words = 1e9;
-  m.record_alltoall(0, 3, words);
-  const double sender = m.clock(0);
-  const double t = m.barrier();
+  m->alltoall(0, 3, words);
+  const double sender = m->now(0);
+  const double t = m->barrier();
   // Rank 0 must absorb everything it pulled at node bandwidth...
   EXPECT_GE(t, cm.recv_target_seconds(words));
   // ...which is slower than issuing the gets.
@@ -131,14 +134,84 @@ TEST(Machine, AlltoallCongestsReceivers) {
   EXPECT_GE(t, cm.recv_target_seconds(words / 3.0));
 }
 
-TEST(Machine, ResetClearsState) {
-  pv::Machine m(2);
-  m.charge(0, 5.0);
-  m.record_get(0, 1, 100.0);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.clock(0), 0.0);
-  EXPECT_DOUBLE_EQ(m.counters(0).get_words, 0.0);
-  EXPECT_EQ(m.counters(0).get_calls, 0u);
+TEST(Machine, OpTriggeredDeathFreezesClockAndLeavesScheduling) {
+  pv::FaultPlan plan;
+  plan.kill_rank_at_op(1, 1);
+  const auto m = pv::make_simulated_ddi(4, {}, plan);
+
+  // Rank 1 dies issuing its first one-sided op; the op is not delivered.
+  EXPECT_EQ(m->get(1, 0, 10.0), pv::OpOutcome::kDropped);
+  EXPECT_FALSE(m->alive(1));
+  EXPECT_EQ(m->num_alive(), 3u);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
+
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(2, 2.0);
+  m->charge_seconds(3, 3.0);
+
+  // Charges to a dead rank are ignored; the clock stays frozen.
+  m->charge_seconds(1, 5.0);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
+
+  // Barrier and imbalance run over survivors only.
+  const double t = m->barrier();
+  EXPECT_GE(t, 3.0);
+  EXPECT_NEAR(m->imbalance(), 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
+  EXPECT_DOUBLE_EQ(m->now(0), m->now(2));
+  EXPECT_GE(m->elapsed(), 3.0);
+
+  // Its frozen clock (0.0, below every survivor's) must never win the DLB
+  // tie-break: the task goes to the lowest surviving rank.
+  EXPECT_EQ(claimants(*m, 1), std::vector<std::size_t>{0});
+}
+
+TEST(Machine, TimeTriggeredDeathDeclaredAtBarrier) {
+  pv::FaultPlan plan;
+  plan.kill_rank_at_time(2, 0.5);
+  const auto m = pv::make_simulated_ddi(3, {}, plan);
+  m->charge_seconds(2, 1.0);   // past the trigger...
+  EXPECT_TRUE(m->alive(2));    // ...but death waits for the barrier
+  m->barrier();
+  EXPECT_FALSE(m->alive(2));
+  EXPECT_EQ(m->num_alive(), 2u);
+}
+
+TEST(Machine, DropAndDelayAccounting) {
+  pv::FaultPlan plan;
+  plan.drop_op(0, 1).delay_op(0, 2, 1e-3);
+  const auto m = pv::make_simulated_ddi(2, {}, plan);
+
+  EXPECT_EQ(m->get(0, 1, 8.0), pv::OpOutcome::kDropped);
+  EXPECT_EQ(m->counters(0).ops_dropped, 1u);
+  const double before = m->now(0);
+  EXPECT_EQ(m->get(0, 1, 8.0), pv::OpOutcome::kDelivered);
+  EXPECT_EQ(m->counters(0).ops_delayed, 1u);
+  EXPECT_GE(m->now(0) - before, 1e-3);
+  // Subsequent ops are clean.
+  EXPECT_EQ(m->acc(0, 1, 8.0), pv::OpOutcome::kDelivered);
+}
+
+TEST(Machine, StragglerStretchesCharges) {
+  pv::FaultPlan plan;
+  plan.slow_rank(1, 4.0);
+  const auto m = pv::make_simulated_ddi(2, {}, plan);
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(1, 1.0);
+  EXPECT_DOUBLE_EQ(m->now(0), 1.0);
+  EXPECT_DOUBLE_EQ(m->now(1), 4.0);
+}
+
+TEST(Machine, EveryRankDeadAborts) {
+  pv::FaultPlan plan;
+  plan.kill_rank_at_op(0, 1).kill_rank_at_op(1, 1);
+  const auto m = pv::make_simulated_ddi(2, {}, plan);
+  m->get(0, 1, 8.0);
+  m->get(1, 0, 8.0);
+  EXPECT_EQ(m->num_alive(), 0u);
+  EXPECT_THROW(claimants(*m, 1), xfci::Error);  // no rank to schedule on
+  EXPECT_THROW(m->barrier(), xfci::Error);
+  EXPECT_THROW(m->elapsed(), xfci::Error);
 }
 
 TEST(CostModel, DgemmEfficiencyRampsWithDimension) {

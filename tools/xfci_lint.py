@@ -16,11 +16,6 @@ entry-require       Public entry points in src/fci/, src/fci_parallel/ and
                     NEAR_TOP lines of the body.  Suppress intentionally
                     unchecked functions with `// lint: no-require` on the
                     signature line.
-layering            The simulated machine is an implementation detail of the
-                    DDI layer: outside src/parallel/ nothing may include
-                    parallel/machine.hpp or name pv::Machine directly.
-                    Application code (src/fci_parallel/, drivers, ...) talks
-                    to pv::Ddi so every backend goes through one interface.
 serve-layering      The serve layer sits *on top of* the solve pipeline
                     (DESIGN.md §15): src/serve/ may include fci/ and
                     fci_parallel/ headers, but nothing under src/ outside
@@ -294,28 +289,6 @@ def check_entry_require(path: str, raw: str, code: str,
                         f"check or suppress with `// {SUPPRESS}`"))
 
 
-LAYERING_EXEMPT = "src/parallel/"
-MACHINE_INCLUDE = re.compile(
-    r'^[ \t]*#[ \t]*include[ \t]*"parallel/machine\.hpp"', re.MULTILINE)
-MACHINE_TOKEN = re.compile(r"\bpv::Machine\b")
-
-
-def check_layering(path: str, raw: str, code: str, findings: list) -> None:
-    """Machine is private to the DDI layer (DESIGN.md, 'Layering')."""
-    if path.replace(os.sep, "/").startswith(LAYERING_EXEMPT):
-        return
-    for m in MACHINE_INCLUDE.finditer(raw):
-        findings.append(
-            Finding(path, line_of(raw, m.start()), "layering",
-                    "parallel/machine.hpp is private to src/parallel/; "
-                    "include parallel/ddi.hpp and use pv::Ddi"))
-    for m in MACHINE_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "layering",
-                    "direct pv::Machine use outside src/parallel/; go "
-                    "through the pv::Ddi interface"))
-
-
 SERVE_LAYER = "src/serve/"
 SERVE_INCLUDE = re.compile(
     r'^[ \t]*#[ \t]*include[ \t]*"(serve/[^"]+)"', re.MULTILINE)
@@ -335,11 +308,10 @@ def check_serve_layering(path: str, raw: str, findings: list) -> None:
 
 
 # Raw process/shared-memory syscalls are fenced inside the two ipc files of
-# the DDI layer (shm_ipc.* and process_ddi.*), the same way pv::Machine is
-# fenced inside src/parallel/: everything else talks to pv::Ddi and stays
-# portable and fork-free (a stray fork() under a live ThreadTeam, or an
-# unmanaged shm_open, is exactly the class of bug the ProcessDdi design
-# confines — see DESIGN.md §14).
+# the DDI layer (shm_ipc.* and process_ddi.*): everything else talks to
+# pv::Ddi and stays portable and fork-free (a stray fork() under a live
+# ThreadTeam, or an unmanaged shm_open, is exactly the class of bug the
+# ProcessDdi design confines — see DESIGN.md §14).
 IPC_ALLOWED = ("src/parallel/shm_ipc.", "src/parallel/process_ddi.")
 IPC_TOKEN = re.compile(
     r"\b(fork|vfork|shm_open|shm_unlink|mmap|munmap|ftruncate|waitpid|"
@@ -600,7 +572,6 @@ def lint_tree(root: str) -> list:
             code = strip_comments_and_strings(raw)
             check_raw_assert(rel, code, findings)
             check_catch_swallow(rel, code, findings)
-            check_layering(rel, raw, code, findings)
             check_serve_layering(rel, raw, findings)
             check_ipc_fence(rel, code, findings)
             check_timing(rel, code, findings)
@@ -855,22 +826,6 @@ void f(std::exception_ptr& err) {
   }
 }
 }  // namespace xfci::fci
-"""
-
-BAD_LAYER_CPP = """\
-#include "parallel/machine.hpp"
-namespace xfci::fcp {
-void f() { pv::Machine m(4); (void)m; }
-}  // namespace xfci::fcp
-"""
-
-GOOD_LAYER_CPP = """\
-// The simulated pv::Machine (parallel/machine.hpp) backs this path -- a
-// comment mention must not trip the layering rule.
-#include "parallel/ddi.hpp"
-namespace xfci::fcp {
-void f() {}
-}  // namespace xfci::fcp
 """
 
 BAD_IPC_CPP = """\
@@ -1134,10 +1089,6 @@ def self_test() -> int:
            "catch-swallow", True)
     expect("storing/rethrowing catch-all passes", "good_catch.cpp",
            GOOD_CATCH_CPP, "catch-swallow", False)
-    expect("seeded machine use outside src/parallel", "bad_layer.cpp",
-           BAD_LAYER_CPP, "layering", True)
-    expect("comment mention of machine allowed", "good_layer.cpp",
-           GOOD_LAYER_CPP, "layering", False)
     expect("seeded serve include in the fci layer", "bad_serve.cpp",
            '#include "serve/engine.hpp"\nvoid f();\n',
            "serve-layering", True)
