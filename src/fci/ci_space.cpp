@@ -36,6 +36,11 @@ const CiSpace& CiSpace::transposed() const {
   return *transposed_;
 }
 
+std::size_t CiSpace::bytes() const {
+  return alpha_.bytes() + beta_.bytes() + vector_bytes(orbital_irreps_) +
+         vector_bytes(blocks_) + vector_bytes(block_of_halpha_);
+}
+
 void CiSpace::transpose_vector(const std::vector<double>& src,
                                std::vector<double>& dst) const {
   const CiSpace& t = transposed();

@@ -83,6 +83,10 @@ class CiSpace {
   void transpose_vector(const std::vector<double>& src,
                         std::vector<double>& dst) const;
 
+  /// Bytes held by this space's string spaces and block tables (not the
+  /// transposed space's).
+  std::size_t bytes() const;
+
  private:
   std::size_t norb_;
   std::size_t nalpha_;

@@ -57,9 +57,65 @@ struct SigmaStats {
   }
 };
 
+/// One coupling of a creation or pair-creation table, recoded for the DGEMM
+/// kernels: string `row` of an intermediate irrep block couples, through
+/// the orbital (or pair) at position `column` of its irrep block, to the
+/// N-electron string `address` with the given sign.
+struct StreamEntry {
+  std::uint32_t row;      ///< index of K' within its irrep
+  std::uint32_t address;  ///< local index of the N-electron target
+  std::uint16_t column;   ///< position of the orbital (pair) within its irrep
+  std::int16_t sign;      ///< +1 or -1
+};
+
+/// A creation or pair-creation table partitioned by the irrep of what it
+/// creates (the orbital irrep, or the pair irrep): the entries of
+/// (K' irrep hk, created irrep h) form one stream, ordered by K' row and,
+/// within a row, by table order.  The sigma kernels loop over a whole
+/// stream or over one row's sub-range, with no symmetry test.
+class IndexStreams {
+ public:
+  IndexStreams() = default;
+  /// Partitions `table`, which couples the strings of `from` to those of
+  /// `to`; `classify(item)` returns {created irrep, column, width of that
+  /// irrep's block}.  Each entry is validated here: column < width and
+  /// address < the row count of its target irrep.  Defined in
+  /// sigma_context.cpp, which builds every IndexStreams.
+  template <class Table, class Classify>
+  IndexStreams(const Table& table, const StringSpace& from,
+               const StringSpace& to, Classify classify);
+
+  /// Every entry of (hk, h).
+  std::span<const StreamEntry> stream(std::size_t hk, std::size_t h) const {
+    const std::size_t s = slot(hk, h, 0);
+    return span(s, s + count_[hk]);
+  }
+  /// The entries of (hk, h) whose row is ik.
+  std::span<const StreamEntry> row(std::size_t hk, std::size_t ik,
+                                   std::size_t h) const {
+    const std::size_t s = slot(hk, h, ik);
+    return span(s, s + 1);
+  }
+  std::size_t size() const { return entries_.size(); }
+  std::size_t bytes() const;
+
+ private:
+  std::size_t slot(std::size_t hk, std::size_t h, std::size_t ik) const {
+    return slot_base_[hk] + h * count_[hk] + ik;
+  }
+  std::span<const StreamEntry> span(std::size_t s, std::size_t e) const {
+    return {entries_.data() + starts_[s], starts_[e] - starts_[s]};
+  }
+
+  std::vector<std::size_t> count_;      // per K' irrep: number of strings
+  std::vector<std::size_t> slot_base_;  // per K' irrep: slot of (hk, 0, 0)
+  std::vector<std::size_t> starts_;     // per (hk, h, ik) slot, + 1 end
+  std::vector<StreamEntry> entries_;
+};
+
 /// Shared precomputed data for the sigma routines over one CI space:
-/// intermediate string spaces, creation tables, and the symmetry-blocked
-/// integral matrices used as DGEMM operands.
+/// intermediate string spaces, creation tables, their index streams, and
+/// the symmetry-blocked integral matrices used as DGEMM operands.
 class SigmaContext {
  public:
   SigmaContext(const CiSpace& space, const integrals::IntegralTables& ints);
@@ -75,8 +131,6 @@ class SigmaContext {
   const std::vector<std::uint16_t>& orbitals_of(std::size_t h) const {
     return orbs_of_irrep_[h];
   }
-  /// Position of orbital p within orbitals_of(irrep(p)).
-  std::size_t orbital_position(std::size_t p) const { return orb_pos_[p]; }
 
   // --- mixed-spin (alpha-beta) DGEMM operands ------------------------------
   // For each "cross irrep" hX the column list enumerates pairs (s, q) with
@@ -114,6 +168,20 @@ class SigmaContext {
   const CreationTable* beta_create() const { return beta_create_.get(); }
   const PairCreationTable* alpha_pair() const { return alpha_pair_.get(); }
 
+  // --- index streams of the DGEMM kernels ------------------------------------
+  // The tables above partitioned by created irrep (empty when the table is
+  // absent): alpha creations by orbital irrep (one-electron phase), beta
+  // creations by orbital irrep (mixed-spin D build and E scatter; the column
+  // is the position within orbitals_of), alpha pair creations by pair irrep
+  // (same-spin; the column is ss_pair_position).
+  const IndexStreams& alpha_streams() const { return alpha_streams_; }
+  const IndexStreams& beta_streams() const { return beta_streams_; }
+  const IndexStreams& pair_streams() const { return pair_streams_; }
+
+  /// Bytes held by this context's own tables, streams and integral
+  /// matrices (not the transposed context's).
+  std::size_t bytes() const;
+
   /// Context over the transposed space (alpha/beta swapped), built lazily;
   /// shares the integral tables.
   const SigmaContext& transposed() const;
@@ -139,6 +207,7 @@ class SigmaContext {
   std::unique_ptr<StringSpace> alpha_m1_, beta_m1_, alpha_m2_;
   std::unique_ptr<CreationTable> alpha_create_, beta_create_;
   std::unique_ptr<PairCreationTable> alpha_pair_;
+  IndexStreams alpha_streams_, beta_streams_, pair_streams_;
 
   mutable std::unique_ptr<SigmaContext> transposed_;
 };

@@ -1,6 +1,53 @@
 #include "fci/sigma.hpp"
 
+#include <limits>
+
 namespace xfci::fci {
+
+template <class Table, class Classify>
+IndexStreams::IndexStreams(const Table& table, const StringSpace& from,
+                           const StringSpace& to, Classify classify) {
+  const std::size_t nh = from.num_irreps();
+  count_.resize(nh);
+  slot_base_.resize(nh);
+  std::size_t slots = 0;
+  for (std::size_t hk = 0; hk < nh; ++hk) {
+    count_[hk] = from.count(hk);
+    slot_base_[hk] = slots;
+    slots += nh * count_[hk];
+  }
+  // A stable counting sort of the table items into their (hk, h, ik)
+  // slots: count, prefix-sum, then place in table order.
+  starts_.assign(slots + 1, 0);
+  for (std::size_t hk = 0; hk < nh; ++hk)
+    for (std::size_t ik = 0; ik < count_[hk]; ++ik)
+      for (const auto& item : table.list(hk, ik))
+        ++starts_[slot(hk, classify(item).irrep, ik) + 1];
+  for (std::size_t s = 0; s < slots; ++s) starts_[s + 1] += starts_[s];
+  entries_.resize(starts_[slots]);
+  std::vector<std::size_t> next(starts_.begin(), starts_.end() - 1);
+  for (std::size_t hk = 0; hk < nh; ++hk) {
+    for (std::size_t ik = 0; ik < count_[hk]; ++ik) {
+      for (const auto& item : table.list(hk, ik)) {
+        const auto [part, column, width] = classify(item);
+        XFCI_ASSERT(column < width &&
+                        width <= std::numeric_limits<std::uint16_t>::max(),
+                    "index stream column outside its irrep block");
+        XFCI_ASSERT(item.address < to.count(item.irrep),
+                    "index stream address outside its target block");
+        entries_[next[slot(hk, part, ik)]++] = StreamEntry{
+            static_cast<std::uint32_t>(ik), item.address,
+            static_cast<std::uint16_t>(column),
+            static_cast<std::int16_t>(item.sign)};
+      }
+    }
+  }
+}
+
+std::size_t IndexStreams::bytes() const {
+  return vector_bytes(count_) + vector_bytes(slot_base_) +
+         vector_bytes(starts_) + vector_bytes(entries_);
+}
 
 SigmaContext::SigmaContext(const CiSpace& space,
                            const integrals::IntegralTables& ints)
@@ -95,6 +142,45 @@ SigmaContext::SigmaContext(const CiSpace& space,
     alpha_pair_ =
         std::make_unique<PairCreationTable>(*alpha_m2_, space.alpha(), oi);
   }
+
+  // Index streams of the DGEMM kernels.
+  struct Part {
+    std::size_t irrep, column, width;
+  };
+  const auto by_orbital = [&](const Creation& c) {
+    const std::size_t h = orbital_irrep(c.orbital);
+    return Part{h, orb_pos_[c.orbital], orbs_of_irrep_[h].size()};
+  };
+  const auto by_pair = [&](const PairCreation& c) {
+    const std::size_t h =
+        group.product(orbital_irrep(c.hi), orbital_irrep(c.lo));
+    return Part{h, ss_pair_position(c.hi, c.lo), ss_pairs_[h].size()};
+  };
+  if (alpha_create_)
+    alpha_streams_ =
+        IndexStreams(*alpha_create_, *alpha_m1_, space.alpha(), by_orbital);
+  if (beta_create_)
+    beta_streams_ =
+        IndexStreams(*beta_create_, *beta_m1_, space.beta(), by_orbital);
+  if (alpha_pair_)
+    pair_streams_ =
+        IndexStreams(*alpha_pair_, *alpha_m2_, space.alpha(), by_pair);
+}
+
+std::size_t SigmaContext::bytes() const {
+  std::size_t b = vector_bytes(orb_pos_) + vector_bytes(ab_cols_) +
+                  vector_bytes(ab_col_base_) + vector_bytes(ss_pair_pos_);
+  for (const auto& orbs : orbs_of_irrep_) b += vector_bytes(orbs);
+  for (const auto& pairs : ss_pairs_) b += vector_bytes(pairs);
+  for (const auto& m : ab_int_) b += m.size() * sizeof(double);
+  for (const auto& m : ss_g_) b += m.size() * sizeof(double);
+  for (const StringSpace* s : {alpha_m1(), beta_m1(), alpha_m2()})
+    if (s != nullptr) b += s->bytes();
+  for (const CreationTable* t : {alpha_create(), beta_create()})
+    if (t != nullptr) b += t->bytes();
+  if (alpha_pair_) b += alpha_pair_->bytes();
+  return b + alpha_streams_.bytes() + beta_streams_.bytes() +
+         pair_streams_.bytes();
 }
 
 const SigmaContext& SigmaContext::transposed() const {

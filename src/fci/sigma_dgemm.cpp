@@ -26,29 +26,33 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
   XFCI_REQUIRE(views.size() == space.group().num_irreps(),
                "one-electron sigma: one view per irrep required");
   if (space.nalpha() == 0) return;
-  const auto& table = *ctx.alpha_create();
+  const auto& group = space.group();
+  const std::size_t nh = group.num_irreps();
+  const IndexStreams& streams = ctx.alpha_streams();
   const auto& h = ctx.ints().h;
   const StringSpace& m1 = *ctx.alpha_m1();
 
-  for (std::size_t hk = 0; hk < m1.num_irreps(); ++hk) {
+  for (std::size_t hk = 0; hk < nh; ++hk) {
     for (std::size_t ik = 0; ik < m1.count(hk); ++ik) {
-      const auto& list = table.list(hk, ik);
-      for (const Creation& cq : list) {
-        const ColumnView& vj = views[cq.irrep];
+      // h_pq vanishes between different orbital irreps, so p and q come
+      // from the same stream row and land in the same target irrep (view).
+      for (std::size_t ho = 0; ho < nh; ++ho) {
+        const ColumnView& vj = views[group.product(hk, ho)];
         if (vj.c == nullptr) continue;
-        const double* ccol = vj.c + cq.address * vj.ld;
-        for (const Creation& cp : list) {
-          // h_pq vanishes between different orbital irreps.
-          if (ctx.orbital_irrep(cp.orbital) != ctx.orbital_irrep(cq.orbital))
-            continue;
-          if (cp.address < vj.write_begin || cp.address >= vj.write_end)
-            continue;
-          const double hpq = h(cp.orbital, cq.orbital);
-          if (hpq == 0.0) continue;
-          // Same target irrep, hence the same view.
-          double* scol = vj.sigma + cp.address * vj.ld;
-          linalg::daxpy_n(vj.nrows, cp.sign * cq.sign * hpq, ccol, scol);
-          stats.indexed_ops += static_cast<double>(vj.nrows);
+        const auto& orbs = ctx.orbitals_of(ho);
+        const auto row = streams.row(hk, ik, ho);
+        for (const StreamEntry& eq : row) {
+          const double* ccol = vj.c + eq.address * vj.ld;
+          const std::size_t q = orbs[eq.column];
+          for (const StreamEntry& ep : row) {
+            if (ep.address < vj.write_begin || ep.address >= vj.write_end)
+              continue;
+            const double hpq = h(orbs[ep.column], q);
+            if (hpq == 0.0) continue;
+            double* scol = vj.sigma + ep.address * vj.ld;
+            linalg::daxpy_n(vj.nrows, ep.sign * eq.sign * hpq, ccol, scol);
+            stats.indexed_ops += static_cast<double>(vj.nrows);
+          }
         }
       }
     }
@@ -65,30 +69,27 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
   const StringSpace& m2 = *ctx.alpha_m2();
-  const auto& pair_table = *ctx.alpha_pair();
+  const IndexStreams& streams = ctx.pair_streams();
 
   linalg::Matrix d, e;
   for (std::size_t hk = 0; hk < nh; ++hk) {
     for (std::size_t ik = 0; ik < m2.count(hk); ++ik) {
-      const auto& list = pair_table.list(hk, ik);
       for (std::size_t hp = 0; hp < nh; ++hp) {
         const std::size_t npairs = ctx.ss_num_pairs(hp);
         if (npairs == 0) continue;
-        const std::size_t hj = group.product(hk, hp);
-        const ColumnView& view = views[hj];
+        const ColumnView& view = views[group.product(hk, hp)];
         if (view.c == nullptr) continue;
         const std::size_t nr = view.nrows;
         if (nr == 0) continue;
+        const auto row = streams.row(hk, ik, hp);
 
         // Step 1 (Eq. 7): gather columns into D[(q>s), spectator rows].
         d.resize(npairs, nr);
-        for (const PairCreation& pc : list) {
-          if (pc.irrep != hj) continue;  // pair of a different irrep
-          const std::size_t row = ctx.ss_pair_position(pc.hi, pc.lo);
-          XFCI_DCHECK(row < npairs,
+        for (const StreamEntry& pc : row) {
+          XFCI_DCHECK(pc.column < npairs,
                       "same-spin gather row outside the pair block");
           const double* ccol = view.c + pc.address * view.ld;
-          double* drow = d.data() + row * nr;
+          double* drow = d.data() + pc.column * nr;
           for (std::size_t i = 0; i < nr; ++i) drow[i] = pc.sign * ccol[i];
           stats.gather_words += static_cast<double>(nr);
         }
@@ -102,13 +103,11 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         stats.dgemm_shapes.push_back({npairs, nr, npairs});
 
         // Step 3 (Eq. 9): scatter-accumulate E rows into sigma columns.
-        for (const PairCreation& pc : list) {
-          if (pc.irrep != hj) continue;
-          const std::size_t row = ctx.ss_pair_position(pc.hi, pc.lo);
-          XFCI_DCHECK(row < npairs,
+        for (const StreamEntry& pc : row) {
+          XFCI_DCHECK(pc.column < npairs,
                       "same-spin scatter row outside the pair block");
           double* scol = view.sigma + pc.address * view.ld;
-          linalg::daxpy_n(nr, pc.sign, e.data() + row * nr, scol);
+          linalg::daxpy_n(nr, pc.sign, e.data() + pc.column * nr, scol);
           stats.scatter_words += static_cast<double>(nr);
         }
       }
@@ -128,7 +127,7 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
   XFCI_ASSERT(ccols.size() == alist.size() && scols.size() == alist.size(),
               "mixed-spin column pointer count mismatch");
   const StringSpace& bm1 = *ctx.beta_m1();
-  const auto& btable = *ctx.beta_create();
+  const IndexStreams& bstreams = ctx.beta_streams();
 
   thread_local linalg::Matrix d, e;
   for (std::size_t hkb = 0; hkb < nh; ++hkb) {
@@ -138,6 +137,10 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
         group.product(group.product(space.target_irrep(), hk), hkb);
     const std::size_t ncols = ctx.ab_num_cols(hx);
     if (ncols == 0) continue;
+    // An alpha creation a+_q K' reaches the alpha irrep hk x irrep(q), so
+    // the beta orbitals s it pairs with have irrep hx x irrep(q) =
+    // (hx x hk) x (target irrep of the creation).
+    const std::size_t hxk = group.product(hx, hk);
 
     // Step 1 (Eq. 4): build D[K'beta, (s,q)] from the gathered C columns.
     d.resize(nkb, ncols);
@@ -147,16 +150,12 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
       const double* ccol = ccols[ai];
       if (ccol == nullptr) continue;
       const std::size_t colbase = ctx.ab_col_base(hx, cq.orbital);
-      const std::size_t hs = group.product(hx, ctx.orbital_irrep(cq.orbital));
-      for (std::size_t ikb = 0; ikb < nkb; ++ikb) {
-        double* drow = d.data() + ikb * ncols;
-        for (const Creation& cs : btable.list(hkb, ikb)) {
-          if (ctx.orbital_irrep(cs.orbital) != hs) continue;
-          XFCI_DCHECK(colbase + ctx.orbital_position(cs.orbital) < ncols,
-                      "mixed-spin gather column outside the D block");
-          drow[colbase + ctx.orbital_position(cs.orbital)] =
-              cq.sign * cs.sign * ccol[cs.address];
-        }
+      for (const StreamEntry& cs :
+           bstreams.stream(hkb, group.product(hxk, cq.irrep))) {
+        XFCI_DCHECK(colbase + cs.column < ncols,
+                    "mixed-spin gather column outside the D block");
+        d.data()[cs.row * ncols + colbase + cs.column] =
+            cq.sign * cs.sign * ccol[cs.address];
       }
       any = true;
     }
@@ -171,23 +170,18 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
     stats.dgemm_shapes.push_back({nkb, ncols, ncols});
 
     // Step 3 (Eq. 6): scatter E back through beta creations into the local
-    // sigma column buffers.
+    // sigma column buffers, in (K'beta row, table) order.
     for (std::size_t ai = 0; ai < alist.size(); ++ai) {
       const Creation& cp = alist[ai];
       double* scol = scols[ai];
       if (scol == nullptr) continue;
       const std::size_t colbase = ctx.ab_col_base(hx, cp.orbital);
-      const std::size_t hr = group.product(hx, ctx.orbital_irrep(cp.orbital));
-      for (std::size_t ikb = 0; ikb < nkb; ++ikb) {
-        const double* erow = e.data() + ikb * ncols;
-        for (const Creation& cr : btable.list(hkb, ikb)) {
-          if (ctx.orbital_irrep(cr.orbital) != hr) continue;
-          XFCI_DCHECK(colbase + ctx.orbital_position(cr.orbital) < ncols,
-                      "mixed-spin scatter column outside the E block");
-          scol[cr.address] +=
-              cp.sign * cr.sign *
-              erow[colbase + ctx.orbital_position(cr.orbital)];
-        }
+      for (const StreamEntry& cr :
+           bstreams.stream(hkb, group.product(hxk, cp.irrep))) {
+        XFCI_DCHECK(colbase + cr.column < ncols,
+                    "mixed-spin scatter column outside the E block");
+        scol[cr.address] +=
+            cp.sign * cr.sign * e.data()[cr.row * ncols + colbase + cr.column];
       }
     }
   }

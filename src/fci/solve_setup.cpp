@@ -63,13 +63,15 @@ std::shared_ptr<const ModelSpacePreconditioner> SolveSetup::preconditioner(
 std::size_t SolveSetup::memory_bytes() const {
   const std::size_t w = sizeof(double);
   std::size_t bytes = ints_.h.size() * w + ints_.eri.packed_size() * w;
-  // DGEMM operand matrices exist in both context orientations.
-  const std::size_t nh = ints_.group.num_irreps();
-  for (std::size_t h = 0; h < nh; ++h)
-    bytes += 2 * w *
-             (context_.ab_integrals(h).size() + context_.ss_integrals(h).size());
-  // CI-dimension state held per setup: the preconditioner diagonal and the
-  // string/block tables (a few words per determinant at most).
+  bytes += space_.bytes() + context_.bytes();
+  // The constructor materialized the transposed context and both
+  // transposed spaces (not for the dense algorithm, whose sigma needs
+  // none of them; calling transposed() here would build them).
+  if (options_.algorithm != Algorithm::kDense) {
+    bytes += context_.transposed().bytes() + space_.transposed().bytes() +
+             space_.transposed().transposed().bytes();
+  }
+  // CI-dimension state held per setup: the preconditioner diagonal.
   bytes += space_.dimension() * w;
   return bytes;
 }

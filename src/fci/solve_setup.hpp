@@ -85,9 +85,10 @@ class SolveSetup {
   std::shared_ptr<const ModelSpacePreconditioner> preconditioner(
       std::size_t model_space) const;
 
-  /// Resident-memory estimate (integral tables, DGEMM operand matrices of
-  /// both context orientations, CI-dimension scratch) used by the serve
-  /// layer's cache eviction accounting.
+  /// Resident-memory estimate used by the serve layer's cache eviction
+  /// accounting: the integral tables, the CI spaces' string tables, both
+  /// context orientations (string tables, index streams, DGEMM operand
+  /// matrices) and one word per determinant.
   std::size_t memory_bytes() const;
 
  private:

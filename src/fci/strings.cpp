@@ -145,6 +145,14 @@ SingleExcitationTable::SingleExcitationTable(
   }
 }
 
+std::size_t StringSpace::bytes() const {
+  std::size_t b = vector_bytes(counts_) + vector_bytes(offsets_) +
+                  vector_bytes(masks_) + vector_bytes(local_) +
+                  vector_bytes(irrep_);
+  for (const auto& row : binom_) b += vector_bytes(row);
+  return b;
+}
+
 CreationTable::CreationTable(const StringSpace& minus_one,
                              const StringSpace& full,
                              const std::vector<std::size_t>& orbital_irreps) {
@@ -180,6 +188,12 @@ CreationTable::CreationTable(const StringSpace& minus_one,
       }
     }
   }
+}
+
+std::size_t CreationTable::bytes() const {
+  std::size_t b = vector_bytes(offset_) + vector_bytes(lists_);
+  for (const auto& list : lists_) b += vector_bytes(list);
+  return b;
 }
 
 PairCreationTable::PairCreationTable(
@@ -223,6 +237,12 @@ PairCreationTable::PairCreationTable(
       }
     }
   }
+}
+
+std::size_t PairCreationTable::bytes() const {
+  std::size_t b = vector_bytes(offset_) + vector_bytes(lists_);
+  for (const auto& list : lists_) b += vector_bytes(list);
+  return b;
 }
 
 }  // namespace xfci::fci

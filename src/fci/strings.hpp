@@ -23,6 +23,13 @@ namespace xfci::fci {
 
 using StringMask = std::uint64_t;
 
+/// Bytes held by the elements of a vector (SolveSetup::memory_bytes
+/// accounting).
+template <class T>
+std::size_t vector_bytes(const std::vector<T>& v) {
+  return v.size() * sizeof(T);
+}
+
 /// Sign of applying a^+_p to mask (must not already contain p): parity of
 /// occupied orbitals below p.
 inline int create_sign(StringMask mask, int p) {
@@ -76,6 +83,9 @@ class StringSpace {
   /// Lexical rank of a mask among all C(n,k) masks (used internally and by
   /// tests).
   std::size_t global_index(StringMask m) const;
+
+  /// Bytes held by the space's tables.
+  std::size_t bytes() const;
 
  private:
   std::size_t norb_;
@@ -134,6 +144,9 @@ class CreationTable {
     return lists_[offset_[h] + i];
   }
 
+  /// Bytes held by the table.
+  std::size_t bytes() const;
+
  private:
   std::vector<std::size_t> offset_;
   std::vector<std::vector<Creation>> lists_;
@@ -157,6 +170,9 @@ class PairCreationTable {
   const std::vector<PairCreation>& list(std::size_t h, std::size_t i) const {
     return lists_[offset_[h] + i];
   }
+
+  /// Bytes held by the table.
+  std::size_t bytes() const;
 
  private:
   std::vector<std::size_t> offset_;

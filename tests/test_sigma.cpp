@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "fci/parallel_sigma.hpp"
 #include "fci/sigma.hpp"
 #include "fci/slater_condon.hpp"
+#include "linalg/gemm_kernels.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -285,4 +287,268 @@ TEST(TransposeVector, RoundTripIsIdentity) {
   ASSERT_EQ(back.size(), v.size());
   for (std::size_t i = 0; i < v.size(); ++i)
     EXPECT_DOUBLE_EQ(back[i], v[i]);
+}
+
+// The pinned bits were recorded with the release flags; sanitizer presets
+// compile at -O1 (CMakeLists.txt), which contracts and orders
+// floating-point operations differently, so there only the cross-path
+// equality is checked.
+#ifndef XFCI_FP_CALIBRATED
+#define XFCI_FP_CALIBRATED 1
+#endif
+
+namespace {
+
+// FNV-1a (64-bit) over the bytes of a vector of doubles.
+std::uint64_t fnv1a_bits(const std::vector<double>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(double); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(Sigma, PinnedBits) {
+  // The DGEMM sigma's exact output bits on seeded vectors over seeded
+  // random Hamiltonians: make_sigma and the simulated 7-rank driver must
+  // both reproduce the recorded FNV-1a hashes, so any change to the
+  // kernels' arithmetic or summation order shows here.  The portable GEMM
+  // kernel is pinned because the SIMD kernels round differently
+  // (gemm_kernels.hpp); the values hold for hosts with FMA, which
+  // -march=native contracts into the portable kernel and the DAXPYs.
+  struct Pinned {
+    SigmaCase cs;
+    std::uint64_t hash;
+  };
+  static const std::vector<Pinned> cases = {
+      // D2h with every orbital irrep present.
+      {{8, 3, 3, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 0}, 0x876c49b8cca5a3d7ull},
+      // D2h with orbital irreps 2, 3 and 4 empty.
+      {{9, 3, 3, "D2h", {0, 0, 5, 5, 6, 6, 7, 7, 1}, 4}, 0xd34c13affa2d7738ull},
+      {{7, 3, 3, "C2v", {0, 1, 0, 2, 3, 1, 0}, 2}, 0x8876ac6de3ee740dull},
+      {{7, 3, 3, "C1", {0, 0, 0, 0, 0, 0, 0}, 0}, 0x2997eb06482b48c3ull},
+      // Open shell.
+      {{8, 4, 2, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 3}, 0x034c87765bdad38eull},
+      // A single alpha electron.
+      {{7, 1, 3, "C2v", {0, 1, 0, 2, 3, 1, 0}, 1}, 0x59d3baa6c0c8ea25ull},
+  };
+  const std::string previous = xfci::linalg::gemm_kernel_name();
+  ASSERT_TRUE(xfci::linalg::set_gemm_kernel("portable"));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const SigmaCase& cs = cases[i].cs;
+    const auto tables = random_tables(cs.norb, cs.group, cs.irreps, 500 + i);
+    const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
+                            tables.orbital_irreps, cs.target);
+    const xf::SigmaContext ctx(space, tables);
+    xfci::Rng rng(600 + i);
+    const std::vector<double> c = rng.signed_vector(space.dimension());
+
+    std::vector<double> s(c.size());
+    xf::make_sigma(xf::Algorithm::kDgemm, ctx)->apply(c, s);
+    fcp::ParallelOptions opt;
+    opt.num_ranks = 7;
+    opt.algorithm = xf::Algorithm::kDgemm;
+    fcp::ParallelSigma par(ctx, opt);
+    std::vector<double> sp(c.size());
+    par.apply(c, sp);
+
+    EXPECT_EQ(fnv1a_bits(sp), fnv1a_bits(s))
+        << "ParallelSigma P=7 vs make_sigma, case " << i;
+    if (XFCI_FP_CALIBRATED) {
+      EXPECT_EQ(fnv1a_bits(s), cases[i].hash)
+          << "case " << i << ", dim=" << space.dimension() << std::hex
+          << ", hash 0x" << fnv1a_bits(s);
+    }
+  }
+  xfci::linalg::set_gemm_kernel(previous);
+}
+
+namespace {
+
+// Spaces for the table checks: D2h with orbital irreps 2, 3 and 4 empty,
+// full D2h, a C2v open shell, and C1.
+struct TableCase {
+  std::size_t norb, na, nb;
+  const char* group;
+  std::vector<std::size_t> irreps;
+  std::size_t target;
+};
+const std::vector<TableCase>& table_cases() {
+  static const std::vector<TableCase> cases = {
+      {9, 3, 3, "D2h", {0, 0, 5, 5, 6, 6, 7, 7, 1}, 4},
+      {8, 3, 2, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 5},
+      {7, 4, 2, "C2v", {0, 1, 0, 2, 3, 1, 0}, 1},
+      {6, 3, 3, "C1", {0, 0, 0, 0, 0, 0}, 0},
+  };
+  return cases;
+}
+
+// For every intermediate string, the entries of its stream rows, taken
+// over all created irreps, are its table list: each item exactly once,
+// each irrep's subsequence in table order, with the column that
+// `classify` gives.  Each whole stream is the concatenation of its rows.
+template <class Table, class Classify>
+void expect_streams_match(const Table& table, const xf::StringSpace& from,
+                          const xf::IndexStreams& streams,
+                          Classify classify) {
+  const std::size_t nh = from.num_irreps();
+  std::size_t total = 0;
+  for (std::size_t hk = 0; hk < nh; ++hk) {
+    for (std::size_t h = 0; h < nh; ++h) {
+      const auto whole = streams.stream(hk, h);
+      std::size_t next = 0;
+      for (std::size_t ik = 0; ik < from.count(hk); ++ik) {
+        const auto row = streams.row(hk, ik, h);
+        ASSERT_EQ(row.data(), whole.data() + next);
+        std::size_t k = 0;
+        for (const auto& item : table.list(hk, ik)) {
+          const auto [part, column] = classify(item);
+          if (part != h) continue;
+          ASSERT_LT(k, row.size()) << "missing entry, hk=" << hk;
+          EXPECT_EQ(row[k].row, ik);
+          EXPECT_EQ(row[k].address, item.address);
+          EXPECT_EQ(row[k].column, column);
+          EXPECT_EQ(row[k].sign, item.sign);
+          ++k;
+        }
+        EXPECT_EQ(k, row.size()) << "extra entries, hk=" << hk;
+        next += row.size();
+      }
+      EXPECT_EQ(next, whole.size());
+      total += whole.size();
+    }
+  }
+  std::size_t listed = 0;
+  for (std::size_t hk = 0; hk < nh; ++hk)
+    for (std::size_t ik = 0; ik < from.count(hk); ++ik)
+      listed += table.list(hk, ik).size();
+  EXPECT_EQ(total, listed);
+  EXPECT_EQ(streams.size(), listed);
+}
+
+void expect_context_streams(const xf::SigmaContext& ctx) {
+  const auto& group = ctx.space().group();
+  const std::size_t nh = group.num_irreps();
+  const auto by_orbital = [&](const xf::Creation& c) {
+    const auto& orbs = ctx.orbitals_of(ctx.orbital_irrep(c.orbital));
+    const auto at = std::find(orbs.begin(), orbs.end(), c.orbital);
+    return std::pair<std::size_t, std::size_t>{
+        ctx.orbital_irrep(c.orbital),
+        static_cast<std::size_t>(at - orbs.begin())};
+  };
+  const auto by_pair = [&](const xf::PairCreation& c) {
+    return std::pair<std::size_t, std::size_t>{
+        group.product(ctx.orbital_irrep(c.hi), ctx.orbital_irrep(c.lo)),
+        ctx.ss_pair_position(c.hi, c.lo)};
+  };
+  if (ctx.alpha_create() != nullptr)
+    expect_streams_match(*ctx.alpha_create(), *ctx.alpha_m1(),
+                         ctx.alpha_streams(), by_orbital);
+  if (ctx.alpha_pair() != nullptr) {
+    expect_streams_match(*ctx.alpha_pair(), *ctx.alpha_m2(),
+                         ctx.pair_streams(), by_pair);
+    // Same-spin D rows lie inside the pair block.
+    for (std::size_t hk = 0; hk < nh; ++hk)
+      for (std::size_t hp = 0; hp < nh; ++hp)
+        for (const auto& e : ctx.pair_streams().stream(hk, hp))
+          EXPECT_LT(e.column, ctx.ss_num_pairs(hp));
+  }
+  if (ctx.beta_create() == nullptr) return;
+  expect_streams_match(*ctx.beta_create(), *ctx.beta_m1(), ctx.beta_streams(),
+                       by_orbital);
+  // Mixed-spin D columns: for every cross irrep hX and alpha orbital q the
+  // beta stream of irrep hX x irrep(q) lands inside INT_hX's columns.
+  for (std::size_t hkb = 0; hkb < nh; ++hkb)
+    for (std::size_t hx = 0; hx < nh; ++hx)
+      for (std::size_t q = 0; q < ctx.space().norb(); ++q) {
+        const std::size_t hs = group.product(hx, ctx.orbital_irrep(q));
+        for (const auto& e : ctx.beta_streams().stream(hkb, hs))
+          EXPECT_LT(ctx.ab_col_base(hx, q) + e.column, ctx.ab_num_cols(hx));
+      }
+}
+
+}  // namespace
+
+TEST(IndexStreams, PartitionTheTablesInOrder) {
+  for (std::size_t i = 0; i < table_cases().size(); ++i) {
+    const TableCase& tc = table_cases()[i];
+    SCOPED_TRACE(i);
+    const auto tables = random_tables(tc.norb, tc.group, tc.irreps, 40 + i);
+    const xf::CiSpace space(tc.norb, tc.na, tc.nb, tables.group,
+                            tables.orbital_irreps, tc.target);
+    const xf::SigmaContext ctx(space, tables);
+    expect_context_streams(ctx);
+    expect_context_streams(ctx.transposed());
+  }
+  // An empty orbital irrep has empty streams.
+  const TableCase& tc = table_cases()[0];
+  const auto tables = random_tables(tc.norb, tc.group, tc.irreps, 40);
+  const xf::CiSpace space(tc.norb, tc.na, tc.nb, tables.group,
+                          tables.orbital_irreps, tc.target);
+  const xf::SigmaContext ctx(space, tables);
+  ASSERT_TRUE(ctx.orbitals_of(2).empty());
+  for (std::size_t hk = 0; hk < 8; ++hk)
+    EXPECT_TRUE(ctx.beta_streams().stream(hk, 2).empty());
+}
+
+TEST(SolveSetup, MemoryBytesCoversEveryTable) {
+  // memory_bytes() is at least the sum of the parts a setup holds,
+  // counted here from the tables' own extents: the integrals, the string
+  // spaces of the space and its two transposes, and per context
+  // orientation the intermediate string spaces, the creation tables, the
+  // index streams and the DGEMM operand matrices.
+  for (const std::size_t i : {0u, 3u}) {  // D2h and C1
+    const TableCase& tc = table_cases()[i];
+    SCOPED_TRACE(tc.group);
+    auto tables = random_tables(tc.norb, tc.group, tc.irreps, 70 + i);
+    const std::size_t int_bytes =
+        (tables.h.size() + tables.eri.packed_size()) * sizeof(double);
+    const auto setup =
+        xf::SolveSetup::create(std::move(tables), tc.na, tc.nb, tc.target);
+    const xf::CiSpace& space = setup->space();
+    const auto masks = [](const xf::StringSpace* s) {
+      return s == nullptr ? 0 : s->total() * sizeof(xf::StringMask);
+    };
+    const auto entries = [](const auto* t, const xf::StringSpace* from,
+                            std::size_t item_bytes) {
+      std::size_t n = 0;
+      if (t == nullptr) return n;
+      for (std::size_t h = 0; h < from->num_irreps(); ++h)
+        for (std::size_t k = 0; k < from->count(h); ++k)
+          n += t->list(h, k).size();
+      return n * item_bytes;
+    };
+    std::size_t lower = int_bytes + space.dimension() * sizeof(double);
+    for (const xf::CiSpace* s :
+         {&space, &space.transposed(), &space.transposed().transposed()})
+      lower += masks(&s->alpha()) + masks(&s->beta());
+    std::size_t parts = int_bytes + space.bytes() +
+                        space.transposed().bytes() +
+                        space.transposed().transposed().bytes();
+    for (const xf::SigmaContext* ctx :
+         {&setup->context(), &setup->context().transposed()}) {
+      lower += masks(ctx->alpha_m1()) + masks(ctx->beta_m1()) +
+               masks(ctx->alpha_m2());
+      lower += entries(ctx->alpha_create(), ctx->alpha_m1(),
+                       sizeof(xf::Creation)) +
+               entries(ctx->beta_create(), ctx->beta_m1(),
+                       sizeof(xf::Creation)) +
+               entries(ctx->alpha_pair(), ctx->alpha_m2(),
+                       sizeof(xf::PairCreation));
+      lower += (ctx->alpha_streams().size() + ctx->beta_streams().size() +
+                ctx->pair_streams().size()) *
+               sizeof(xf::StreamEntry);
+      for (std::size_t h = 0; h < space.group().num_irreps(); ++h)
+        lower += (ctx->ab_integrals(h).size() + ctx->ss_integrals(h).size()) *
+                 sizeof(double);
+      parts += ctx->bytes();
+    }
+    EXPECT_GT(setup->context().beta_streams().size(), 0u);
+    EXPECT_GE(setup->memory_bytes(), lower);
+    EXPECT_GE(setup->memory_bytes(), parts);
+  }
 }
