@@ -246,6 +246,7 @@ int main(int argc, char** argv) {
     const auto moc = xf::make_sigma(xf::Algorithm::kMoc, ctx);
     const double s_moc =
         time_per_call([&] { moc->apply(c, sv); }, min_s);
+    // A SigmaContext builds both of its orientations, so this times both.
     const double s_ctx = time_per_call(
         [&] { xf::SigmaContext rebuilt(space, sys.tables); }, min_s);
     std::printf("sigma_dgemm   %12s   (%zu dets)\n",

@@ -56,14 +56,14 @@ void analyze(const xs::PreparedSystem& sys) {
   // One DGEMM task per alpha (N-1)-string, reading and accumulating the
   // columns in place.
   xf::SigmaStats dg_stats;
-  const auto& am1 = *ctx.alpha_m1();
+  const auto& am1 = *ctx.alpha().m1;
   std::vector<const double*> ccols;
   std::vector<double*> scols;
   for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk) {
     for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
       ccols.clear();
       scols.clear();
-      for (const xf::Creation& cr : ctx.alpha_create()->list(hk, ik)) {
+      for (const xf::Creation& cr : ctx.alpha().create->list(hk, ik)) {
         const xf::CiBlock* blk = space.block_for_alpha(cr.irrep);
         const std::size_t off =
             blk == nullptr ? 0 : blk->offset + cr.address * blk->nb;

@@ -12,15 +12,37 @@ CiSpace::CiSpace(std::size_t norb, std::size_t nalpha, std::size_t nbeta,
       target_(target_irrep),
       group_(group),
       orbital_irreps_(orbital_irreps),
-      alpha_(norb, nalpha, group, orbital_irreps),
-      beta_(norb, nbeta, group, orbital_irreps) {
+      alpha_(std::make_shared<const StringSpace>(norb, nalpha, group,
+                                                 orbital_irreps)),
+      beta_(nbeta == nalpha ? alpha_
+                            : std::make_shared<const StringSpace>(
+                                  norb, nbeta, group, orbital_irreps)) {
   XFCI_REQUIRE(target_irrep < group.num_irreps(), "target irrep out of range");
-  const std::size_t nh = group.num_irreps();
+  build_blocks();
+  owned_transposed_.reset(new CiSpace(this));
+  transposed_ = owned_transposed_.get();
+}
+
+CiSpace::CiSpace(const CiSpace* partner)
+    : norb_(partner->norb_),
+      nalpha_(partner->nbeta_),
+      nbeta_(partner->nalpha_),
+      target_(partner->target_),
+      group_(partner->group_),
+      orbital_irreps_(partner->orbital_irreps_),
+      alpha_(partner->beta_),
+      beta_(partner->alpha_),
+      transposed_(partner) {
+  build_blocks();
+}
+
+void CiSpace::build_blocks() {
+  const std::size_t nh = group_.num_irreps();
   block_of_halpha_.assign(nh, kNone);
   for (std::size_t ha = 0; ha < nh; ++ha) {
-    const std::size_t hb = group.product(target_, ha);
-    const std::size_t na = alpha_.count(ha);
-    const std::size_t nb = beta_.count(hb);
+    const std::size_t hb = group_.product(target_, ha);
+    const std::size_t na = alpha_->count(ha);
+    const std::size_t nb = beta_->count(hb);
     if (na == 0 || nb == 0) continue;
     block_of_halpha_[ha] = blocks_.size();
     blocks_.push_back(CiBlock{ha, hb, dimension_, na, nb});
@@ -28,20 +50,18 @@ CiSpace::CiSpace(std::size_t norb, std::size_t nalpha, std::size_t nbeta,
   }
 }
 
-const CiSpace& CiSpace::transposed() const {
-  if (!transposed_) {
-    transposed_ = std::make_shared<CiSpace>(norb_, nbeta_, nalpha_, group_,
-                                            orbital_irreps_, target_);
-  }
-  return *transposed_;
+std::size_t CiSpace::block_bytes() const {
+  return vector_bytes(orbital_irreps_) + vector_bytes(blocks_) +
+         vector_bytes(block_of_halpha_);
 }
 
 std::size_t CiSpace::bytes() const {
-  return alpha_.bytes() + beta_.bytes() + vector_bytes(orbital_irreps_) +
-         vector_bytes(blocks_) + vector_bytes(block_of_halpha_);
+  std::size_t b = alpha_->bytes() + block_bytes() + transposed_->block_bytes();
+  if (beta_ != alpha_) b += beta_->bytes();
+  return b;
 }
 
-void CiSpace::transpose_vector(const std::vector<double>& src,
+void CiSpace::transpose_vector(std::span<const double> src,
                                std::vector<double>& dst) const {
   const CiSpace& t = transposed();
   XFCI_REQUIRE(src.size() == dimension_, "transpose_vector source size");

@@ -7,8 +7,13 @@
 // of irrep h_b = h_target x h_a.  Each block is stored column-contiguously
 // (one alpha column = one contiguous run of beta coefficients), matching
 // the column distribution of the parallel layer.
+//
+// A space and its transpose (alpha and beta roles swapped) are built
+// together and share their string spaces; when nalpha == nbeta the alpha
+// and beta strings are one StringSpace.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "chem/pointgroup.hpp"
@@ -25,16 +30,21 @@ struct CiBlock {
   std::size_t nb = 0;       ///< number of beta strings (rows)
 };
 
+/// Non-copyable and non-movable: a space and its transposed partner
+/// point at each other.
 class CiSpace {
  public:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Builds the blocked space for the given orbital count, electron counts,
-  /// point group / orbital irreps and target (wavefunction) irrep.
+  /// point group / orbital irreps and target (wavefunction) irrep, and its
+  /// transposed partner.
   CiSpace(std::size_t norb, std::size_t nalpha, std::size_t nbeta,
           const chem::PointGroup& group,
           const std::vector<std::size_t>& orbital_irreps,
           std::size_t target_irrep = 0);
+  CiSpace(const CiSpace&) = delete;
+  CiSpace& operator=(const CiSpace&) = delete;
 
   std::size_t norb() const { return norb_; }
   std::size_t nalpha() const { return nalpha_; }
@@ -45,8 +55,8 @@ class CiSpace {
     return orbital_irreps_;
   }
 
-  const StringSpace& alpha() const { return alpha_; }
-  const StringSpace& beta() const { return beta_; }
+  const StringSpace& alpha() const { return *alpha_; }
+  const StringSpace& beta() const { return *beta_; }
 
   /// Total number of determinants.
   std::size_t dimension() const { return dimension_; }
@@ -75,31 +85,38 @@ class CiSpace {
   }
 
   /// The space with alpha and beta roles swapped (same target irrep); used
-  /// by the transposed alpha-alpha same-spin routine.  Built lazily.
-  const CiSpace& transposed() const;
+  /// by the beta-side sigma phase and the RDMs.  transposed().transposed()
+  /// is this space.
+  const CiSpace& transposed() const { return *transposed_; }
 
   /// Copies `src` (over this space) into `dst` (over transposed()):
   /// dst(beta column, alpha row) = src(alpha column, beta row).
-  void transpose_vector(const std::vector<double>& src,
+  void transpose_vector(std::span<const double> src,
                         std::vector<double>& dst) const;
 
-  /// Bytes held by this space's string spaces and block tables (not the
-  /// transposed space's).
+  /// Bytes held by this space and its transposed partner: each distinct
+  /// string space once, plus both orientations' block tables.
   std::size_t bytes() const;
 
  private:
+  /// The transposed partner of `partner`, sharing its string spaces.
+  explicit CiSpace(const CiSpace* partner);
+  void build_blocks();
+  std::size_t block_bytes() const;
+
   std::size_t norb_;
   std::size_t nalpha_;
   std::size_t nbeta_;
   std::size_t target_;
   chem::PointGroup group_;
   std::vector<std::size_t> orbital_irreps_;
-  StringSpace alpha_;
-  StringSpace beta_;
+  std::shared_ptr<const StringSpace> alpha_;
+  std::shared_ptr<const StringSpace> beta_;  // == alpha_ when nalpha == nbeta
   std::vector<CiBlock> blocks_;
   std::vector<std::size_t> block_of_halpha_;
   std::size_t dimension_ = 0;
-  mutable std::shared_ptr<CiSpace> transposed_;
+  std::unique_ptr<const CiSpace> owned_transposed_;  // null in the partner
+  const CiSpace* transposed_ = nullptr;
 };
 
 }  // namespace xfci::fci

@@ -76,12 +76,6 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
   // The backend sizes and labels the tracer's tracks and installs its own
   // clock domain; from here on every layer emits through ddi().tracer().
   if (options_.tracer != nullptr) ddi_->set_tracer(options_.tracer);
-  if (ddi_->concurrent()) {
-    // Shared tables are built lazily; materialize them now, before any
-    // worker thread can race on the first touch.
-    ctx_.transposed();
-    context.space().transposed();
-  }
 }
 
 void ParallelSigma::charge_solver_vector_ops() {
@@ -117,7 +111,7 @@ void ParallelSigma::apply_dgemm(std::span<const double> c,
   std::vector<double> cproj;
   if (parity != 0) {
     std::vector<double> pc;
-    space.transpose_vector({c.begin(), c.end()}, pc);
+    space.transpose_vector(c, pc);
     cproj.resize(c.size());
     const double eps = static_cast<double>(parity);
     for (std::size_t i = 0; i < c.size(); ++i)

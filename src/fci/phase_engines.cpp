@@ -445,7 +445,7 @@ void SameSpinEngine::parity_fold(std::span<double> sigma,
 std::size_t MixedSpinEngine::layout_stage(std::size_t hk, std::size_t ik,
                                           ItemStage& stage) const {
   const fci::CiSpace& space = s_.ctx.space();
-  const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
+  const auto& alist = s_.ctx.alpha().create->list(hk, ik);
   std::size_t total = 0;
   stage.offs.assign(alist.size(), kNone);
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
@@ -463,7 +463,7 @@ bool MixedSpinEngine::stage_item(std::size_t worker, std::size_t hk,
   XFCI_DCHECK(c.size() == s_.ctx.space().dimension(),
               "staged C vector must span the CI dimension");
   const fci::CiSpace& space = s_.ctx.space();
-  const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
+  const auto& alist = s_.ctx.alpha().create->list(hk, ik);
 
   // Layout of the accumulation buffer.
   const std::size_t total = layout_stage(hk, ik, stage);
@@ -541,7 +541,7 @@ void MixedSpinEngine::commit_item(std::size_t hk, std::size_t ik,
   XFCI_DCHECK(sigma.size() == s_.ctx.space().dimension(),
               "committed sigma must span the CI dimension");
   const fci::CiSpace& space = s_.ctx.space();
-  const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
+  const auto& alist = s_.ctx.alpha().create->list(hk, ik);
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
     if (stage.offs[ai] == kNone) continue;
     const std::size_t b = space.block_index_for_alpha(alist[ai].irrep);
@@ -561,7 +561,7 @@ void MixedSpinEngine::dgemm(std::span<const double> c,
               "phase vectors must span the CI dimension (checked in apply)");
   const fci::CiSpace& space = s_.ctx.space();
   if (space.nalpha() < 1 || space.nbeta() < 1) return;
-  const fci::StringSpace& am1 = *s_.ctx.alpha_m1();
+  const fci::StringSpace& am1 = *s_.ctx.alpha().m1;
 
   // Flatten the alpha (N-1)-string tasks.
   std::vector<std::pair<std::size_t, std::size_t>> items;

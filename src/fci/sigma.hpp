@@ -113,12 +113,39 @@ class IndexStreams {
   std::vector<StreamEntry> entries_;
 };
 
-/// Shared precomputed data for the sigma routines over one CI space:
-/// intermediate string spaces, creation tables, their index streams, and
-/// the symmetry-blocked integral matrices used as DGEMM operands.
+/// The string tables of one spin over its N-electron strings: the
+/// (N-1)- and (N-2)-electron intermediate string spaces, the creation and
+/// pair-creation tables into the N-electron strings, and their index
+/// streams.  They depend only on the electron count, so a context holds
+/// one set per distinct count and both orientations share them.  With
+/// fewer than one (m1, create) or two (m2, pair) electrons the tables are
+/// null and their streams empty.
+struct SpinTables {
+  std::unique_ptr<const StringSpace> m1, m2;
+  std::unique_ptr<const CreationTable> create;
+  std::unique_ptr<const PairCreationTable> pair;
+  /// `create` partitioned by orbital irrep; the column is the orbital's
+  /// position within orbitals_of (one-electron phase; mixed-spin D build
+  /// and E scatter on the beta side).
+  IndexStreams create_streams;
+  /// `pair` partitioned by pair irrep; the column is ss_pair_position
+  /// (same-spin phase).
+  IndexStreams pair_streams;
+
+  std::size_t bytes() const;
+};
+
+/// Shared precomputed data for the sigma routines over one CI space and
+/// its transpose: the orbital lists and symmetry-blocked integral matrices
+/// used as DGEMM operands, built once, and one SpinTables per distinct
+/// electron count.  The transposed context, built with this one, shares
+/// all of them with the alpha and beta tables swapped.  Non-copyable and
+/// non-movable: the two orientations point at each other.
 class SigmaContext {
  public:
   SigmaContext(const CiSpace& space, const integrals::IntegralTables& ints);
+  SigmaContext(const SigmaContext&) = delete;
+  SigmaContext& operator=(const SigmaContext&) = delete;
 
   const CiSpace& space() const { return space_; }
   const integrals::IntegralTables& ints() const { return ints_; }
@@ -129,87 +156,84 @@ class SigmaContext {
   }
   /// Orbitals of irrep h (ascending).
   const std::vector<std::uint16_t>& orbitals_of(std::size_t h) const {
-    return orbs_of_irrep_[h];
+    return ops_->orbs_of_irrep[h];
   }
 
   // --- mixed-spin (alpha-beta) DGEMM operands ------------------------------
   // For each "cross irrep" hX the column list enumerates pairs (s, q) with
   // irrep(s) = hX x irrep(q), q-major; INT_hX[(s,q), (r,p)] = (pq|rs).
-  std::size_t ab_num_cols(std::size_t hx) const { return ab_cols_[hx]; }
+  std::size_t ab_num_cols(std::size_t hx) const { return ops_->ab_cols[hx]; }
   /// Column base of orbital q within the hX list.
   std::size_t ab_col_base(std::size_t hx, std::size_t q) const {
-    return ab_col_base_[hx * space_.norb() + q];
+    return ops_->ab_col_base[hx * space_.norb() + q];
   }
   const linalg::Matrix& ab_integrals(std::size_t hx) const {
-    return ab_int_[hx];
+    return ops_->ab_int[hx];
   }
 
   // --- same-spin DGEMM operands --------------------------------------------
   // Ordered pairs (hi > lo) grouped by pair irrep hP;
   // G_hP[(p,r),(q,s)] = (pq|rs) - (ps|rq).
   std::size_t ss_num_pairs(std::size_t hp) const {
-    return ss_pairs_[hp].size();
+    return ops_->ss_pairs[hp].size();
   }
   /// Index of the pair (hi, lo) within its irrep block.
   std::size_t ss_pair_position(std::size_t hi, std::size_t lo) const {
-    return ss_pair_pos_[hi * space_.norb() + lo];
+    return ops_->ss_pair_pos[hi * space_.norb() + lo];
   }
   const linalg::Matrix& ss_integrals(std::size_t hp) const {
-    return ss_g_[hp];
+    return ops_->ss_g[hp];
   }
 
   // --- string tables --------------------------------------------------------
-  // Alpha-side tables over the space's own alpha strings (used by the
-  // column-oriented routines; the transposed context serves the beta side).
-  const StringSpace* alpha_m1() const { return alpha_m1_.get(); }
-  const StringSpace* beta_m1() const { return beta_m1_.get(); }
-  const StringSpace* alpha_m2() const { return alpha_m2_.get(); }
-  const CreationTable* alpha_create() const { return alpha_create_.get(); }
-  const CreationTable* beta_create() const { return beta_create_.get(); }
-  const PairCreationTable* alpha_pair() const { return alpha_pair_.get(); }
+  // Over the space's alpha and beta strings; the same object when
+  // nalpha == nbeta.  The column-oriented routines use alpha(); the
+  // mixed-spin core reads beta() as well.
+  const SpinTables& alpha() const { return *alpha_; }
+  const SpinTables& beta() const { return *beta_; }
 
-  // --- index streams of the DGEMM kernels ------------------------------------
-  // The tables above partitioned by created irrep (empty when the table is
-  // absent): alpha creations by orbital irrep (one-electron phase), beta
-  // creations by orbital irrep (mixed-spin D build and E scatter; the column
-  // is the position within orbitals_of), alpha pair creations by pair irrep
-  // (same-spin; the column is ss_pair_position).
-  const IndexStreams& alpha_streams() const { return alpha_streams_; }
-  const IndexStreams& beta_streams() const { return beta_streams_; }
-  const IndexStreams& pair_streams() const { return pair_streams_; }
-
-  /// Bytes held by this context's own tables, streams and integral
-  /// matrices (not the transposed context's).
+  /// Bytes held by both orientations: the operands once and each distinct
+  /// SpinTables once.
   std::size_t bytes() const;
 
-  /// Context over the transposed space (alpha/beta swapped), built lazily;
-  /// shares the integral tables.
-  const SigmaContext& transposed() const;
+  /// Context over the transposed space (alpha/beta swapped).
+  /// transposed().transposed() is this context.
+  const SigmaContext& transposed() const { return *transposed_; }
 
  private:
+  /// The orientation-independent operands.
+  struct Operands {
+    Operands(const CiSpace& space, const integrals::IntegralTables& ints);
+    std::size_t bytes() const;
+
+    std::vector<std::vector<std::uint16_t>> orbs_of_irrep;
+    std::vector<std::size_t> orb_pos;
+
+    std::vector<std::size_t> ab_cols;
+    std::vector<std::size_t> ab_col_base;
+    std::vector<linalg::Matrix> ab_int;
+
+    struct Pair {
+      std::uint16_t hi, lo;
+    };
+    std::vector<std::vector<Pair>> ss_pairs;
+    std::vector<std::size_t> ss_pair_pos;
+    std::vector<linalg::Matrix> ss_g;
+  };
+
+  /// The transposed partner of `partner`, sharing all of its tables.
+  explicit SigmaContext(const SigmaContext* partner);
+  /// The tables of one spin whose N-electron strings are `full`.
+  std::shared_ptr<const SpinTables> build_spin_tables(
+      const StringSpace& full) const;
+
   const CiSpace& space_;
   const integrals::IntegralTables& ints_;
-
-  std::vector<std::vector<std::uint16_t>> orbs_of_irrep_;
-  std::vector<std::size_t> orb_pos_;
-
-  std::vector<std::size_t> ab_cols_;
-  std::vector<std::size_t> ab_col_base_;
-  std::vector<linalg::Matrix> ab_int_;
-
-  struct Pair {
-    std::uint16_t hi, lo;
-  };
-  std::vector<std::vector<Pair>> ss_pairs_;
-  std::vector<std::size_t> ss_pair_pos_;
-  std::vector<linalg::Matrix> ss_g_;
-
-  std::unique_ptr<StringSpace> alpha_m1_, beta_m1_, alpha_m2_;
-  std::unique_ptr<CreationTable> alpha_create_, beta_create_;
-  std::unique_ptr<PairCreationTable> alpha_pair_;
-  IndexStreams alpha_streams_, beta_streams_, pair_streams_;
-
-  mutable std::unique_ptr<SigmaContext> transposed_;
+  std::shared_ptr<const Operands> ops_;
+  std::shared_ptr<const SpinTables> alpha_;
+  std::shared_ptr<const SpinTables> beta_;  // == alpha_ when nalpha == nbeta
+  std::unique_ptr<const SigmaContext> owned_transposed_;  // null in partner
+  const SigmaContext* transposed_ = nullptr;
 };
 
 /// Abstract sigma = H c (core energy excluded).
@@ -282,7 +306,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
 
 /// Mixed-spin sigma core (Eqs. 4-6) for one alpha (N-1)-string task
 /// K' = (irrep hk, index ik).  `ccols` and `scols` hold one pointer per
-/// entry of alpha_create().list(hk, ik): the gathered C column for that
+/// entry of alpha().create->list(hk, ik): the gathered C column for that
 /// orbital and the local accumulation buffer for the sigma column (null
 /// when the corresponding block is absent).  Column lengths are the beta
 /// row counts of the target blocks.  The caller owns gathering/accumulating

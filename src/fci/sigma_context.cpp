@@ -49,72 +49,70 @@ std::size_t IndexStreams::bytes() const {
          vector_bytes(starts_) + vector_bytes(entries_);
 }
 
-SigmaContext::SigmaContext(const CiSpace& space,
-                           const integrals::IntegralTables& ints)
-    : space_(space), ints_(ints) {
+SigmaContext::Operands::Operands(const CiSpace& space,
+                                 const integrals::IntegralTables& ints) {
   const std::size_t n = space.norb();
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
+  const auto& oi = space.orbital_irreps();
   XFCI_REQUIRE(ints.norb == n, "integral tables orbital count mismatch");
 
   // Orbital lists per irrep.
-  orbs_of_irrep_.resize(nh);
-  orb_pos_.resize(n);
+  orbs_of_irrep.resize(nh);
+  orb_pos.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t h = orbital_irrep(p);
-    orb_pos_[p] = orbs_of_irrep_[h].size();
-    orbs_of_irrep_[h].push_back(static_cast<std::uint16_t>(p));
+    const std::size_t h = oi[p];
+    orb_pos[p] = orbs_of_irrep[h].size();
+    orbs_of_irrep[h].push_back(static_cast<std::uint16_t>(p));
   }
 
   // Mixed-spin column lists and integral blocks.  For cross irrep hX the
   // columns are (s, q) with irrep(s) = hX x irrep(q), q-major:
   //   INT_hX[(s,q), (r,p)] = (pq|rs).
-  ab_cols_.assign(nh, 0);
-  ab_col_base_.assign(nh * n, 0);
-  ab_int_.resize(nh);
+  ab_cols.assign(nh, 0);
+  ab_col_base.assign(nh * n, 0);
+  ab_int.resize(nh);
   for (std::size_t hx = 0; hx < nh; ++hx) {
     std::size_t ncols = 0;
     for (std::size_t q = 0; q < n; ++q) {
-      ab_col_base_[hx * n + q] = ncols;
-      ncols += orbs_of_irrep_[group.product(hx, orbital_irrep(q))].size();
+      ab_col_base[hx * n + q] = ncols;
+      ncols += orbs_of_irrep[group.product(hx, oi[q])].size();
     }
-    ab_cols_[hx] = ncols;
+    ab_cols[hx] = ncols;
     linalg::Matrix m(ncols, ncols);
     for (std::size_t q = 0; q < n; ++q) {
-      const auto& s_list = orbs_of_irrep_[group.product(hx, orbital_irrep(q))];
+      const auto& s_list = orbs_of_irrep[group.product(hx, oi[q])];
       for (std::size_t si = 0; si < s_list.size(); ++si) {
-        const std::size_t row = ab_col_base_[hx * n + q] + si;
+        const std::size_t row = ab_col_base[hx * n + q] + si;
         const std::size_t s = s_list[si];
         for (std::size_t p = 0; p < n; ++p) {
-          const auto& r_list =
-              orbs_of_irrep_[group.product(hx, orbital_irrep(p))];
+          const auto& r_list = orbs_of_irrep[group.product(hx, oi[p])];
           for (std::size_t ri = 0; ri < r_list.size(); ++ri) {
-            const std::size_t col = ab_col_base_[hx * n + p] + ri;
+            const std::size_t col = ab_col_base[hx * n + p] + ri;
             const std::size_t r = r_list[ri];
             m(row, col) = ints.eri(p, q, r, s);
           }
         }
       }
     }
-    ab_int_[hx] = std::move(m);
+    ab_int[hx] = std::move(m);
   }
 
   // Same-spin pair lists and antisymmetrized integral blocks:
   //   G_hP[(p>r), (q>s)] = (pq|rs) - (ps|rq).
-  ss_pairs_.resize(nh);
-  ss_pair_pos_.assign(n * n, 0);
+  ss_pairs.resize(nh);
+  ss_pair_pos.assign(n * n, 0);
   for (std::size_t lo = 0; lo < n; ++lo) {
     for (std::size_t hi = lo + 1; hi < n; ++hi) {
-      const std::size_t hp =
-          group.product(orbital_irrep(hi), orbital_irrep(lo));
-      ss_pair_pos_[hi * n + lo] = ss_pairs_[hp].size();
-      ss_pairs_[hp].push_back(
+      const std::size_t hp = group.product(oi[hi], oi[lo]);
+      ss_pair_pos[hi * n + lo] = ss_pairs[hp].size();
+      ss_pairs[hp].push_back(
           Pair{static_cast<std::uint16_t>(hi), static_cast<std::uint16_t>(lo)});
     }
   }
-  ss_g_.resize(nh);
+  ss_g.resize(nh);
   for (std::size_t hp = 0; hp < nh; ++hp) {
-    const auto& pairs = ss_pairs_[hp];
+    const auto& pairs = ss_pairs[hp];
     linalg::Matrix g(pairs.size(), pairs.size());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const std::size_t p = pairs[i].hi, r = pairs[i].lo;
@@ -123,24 +121,65 @@ SigmaContext::SigmaContext(const CiSpace& space,
         g(i, j) = ints.eri(p, q, r, s) - ints.eri(p, s, r, q);
       }
     }
-    ss_g_[hp] = std::move(g);
+    ss_g[hp] = std::move(g);
   }
+}
+
+std::size_t SigmaContext::Operands::bytes() const {
+  std::size_t b = vector_bytes(orb_pos) + vector_bytes(ab_cols) +
+                  vector_bytes(ab_col_base) + vector_bytes(ss_pair_pos);
+  for (const auto& orbs : orbs_of_irrep) b += vector_bytes(orbs);
+  for (const auto& pairs : ss_pairs) b += vector_bytes(pairs);
+  for (const auto& m : ab_int) b += m.size() * sizeof(double);
+  for (const auto& m : ss_g) b += m.size() * sizeof(double);
+  return b;
+}
+
+std::size_t SpinTables::bytes() const {
+  std::size_t b = create_streams.bytes() + pair_streams.bytes();
+  for (const StringSpace* s : {m1.get(), m2.get()})
+    if (s != nullptr) b += s->bytes();
+  if (create) b += create->bytes();
+  if (pair) b += pair->bytes();
+  return b;
+}
+
+SigmaContext::SigmaContext(const CiSpace& space,
+                           const integrals::IntegralTables& ints)
+    : space_(space),
+      ints_(ints),
+      ops_(std::make_shared<const Operands>(space, ints)),
+      alpha_(build_spin_tables(space.alpha())),
+      beta_(&space.beta() == &space.alpha() ? alpha_
+                                            : build_spin_tables(space.beta())) {
+  owned_transposed_.reset(new SigmaContext(this));
+  transposed_ = owned_transposed_.get();
+}
+
+SigmaContext::SigmaContext(const SigmaContext* partner)
+    : space_(partner->space_.transposed()),
+      ints_(partner->ints_),
+      ops_(partner->ops_),
+      alpha_(partner->beta_),
+      beta_(partner->alpha_),
+      transposed_(partner) {}
+
+std::shared_ptr<const SpinTables> SigmaContext::build_spin_tables(
+    const StringSpace& full) const {
+  const std::size_t n = space_.norb();
+  const std::size_t nelec = full.nelec();
+  const auto& group = space_.group();
+  const auto& oi = space_.orbital_irreps();
+  auto t = std::make_shared<SpinTables>();
 
   // Intermediate string spaces and coupling tables.
-  const auto& oi = space.orbital_irreps();
-  if (space.nalpha() >= 1) {
-    alpha_m1_ = std::make_unique<StringSpace>(n, space.nalpha() - 1, group, oi);
-    alpha_create_ =
-        std::make_unique<CreationTable>(*alpha_m1_, space.alpha(), oi);
+  if (nelec >= 1) {
+    t->m1 = std::make_unique<const StringSpace>(n, nelec - 1, group, oi);
+    t->create = std::make_unique<const CreationTable>(*t->m1, full, oi);
   }
-  if (space.nbeta() >= 1) {
-    beta_m1_ = std::make_unique<StringSpace>(n, space.nbeta() - 1, group, oi);
-    beta_create_ = std::make_unique<CreationTable>(*beta_m1_, space.beta(), oi);
-  }
-  if (space.nalpha() >= 2) {
-    alpha_m2_ = std::make_unique<StringSpace>(n, space.nalpha() - 2, group, oi);
-    alpha_pair_ =
-        std::make_unique<PairCreationTable>(*alpha_m2_, space.alpha(), oi);
+  if (nelec >= 2) {
+    t->m2 = std::make_unique<const StringSpace>(n, nelec - 2, group, oi);
+    t->pair = std::make_unique<const PairCreationTable>(*t->m2, full, oi);
   }
 
   // Index streams of the DGEMM kernels.
@@ -149,47 +188,23 @@ SigmaContext::SigmaContext(const CiSpace& space,
   };
   const auto by_orbital = [&](const Creation& c) {
     const std::size_t h = orbital_irrep(c.orbital);
-    return Part{h, orb_pos_[c.orbital], orbs_of_irrep_[h].size()};
+    return Part{h, ops_->orb_pos[c.orbital], orbitals_of(h).size()};
   };
   const auto by_pair = [&](const PairCreation& c) {
     const std::size_t h =
         group.product(orbital_irrep(c.hi), orbital_irrep(c.lo));
-    return Part{h, ss_pair_position(c.hi, c.lo), ss_pairs_[h].size()};
+    return Part{h, ss_pair_position(c.hi, c.lo), ss_num_pairs(h)};
   };
-  if (alpha_create_)
-    alpha_streams_ =
-        IndexStreams(*alpha_create_, *alpha_m1_, space.alpha(), by_orbital);
-  if (beta_create_)
-    beta_streams_ =
-        IndexStreams(*beta_create_, *beta_m1_, space.beta(), by_orbital);
-  if (alpha_pair_)
-    pair_streams_ =
-        IndexStreams(*alpha_pair_, *alpha_m2_, space.alpha(), by_pair);
+  if (t->create)
+    t->create_streams = IndexStreams(*t->create, *t->m1, full, by_orbital);
+  if (t->pair) t->pair_streams = IndexStreams(*t->pair, *t->m2, full, by_pair);
+  return t;
 }
 
 std::size_t SigmaContext::bytes() const {
-  std::size_t b = vector_bytes(orb_pos_) + vector_bytes(ab_cols_) +
-                  vector_bytes(ab_col_base_) + vector_bytes(ss_pair_pos_);
-  for (const auto& orbs : orbs_of_irrep_) b += vector_bytes(orbs);
-  for (const auto& pairs : ss_pairs_) b += vector_bytes(pairs);
-  for (const auto& m : ab_int_) b += m.size() * sizeof(double);
-  for (const auto& m : ss_g_) b += m.size() * sizeof(double);
-  for (const StringSpace* s : {alpha_m1(), beta_m1(), alpha_m2()})
-    if (s != nullptr) b += s->bytes();
-  for (const CreationTable* t : {alpha_create(), beta_create()})
-    if (t != nullptr) b += t->bytes();
-  if (alpha_pair_) b += alpha_pair_->bytes();
-  return b + alpha_streams_.bytes() + beta_streams_.bytes() +
-         pair_streams_.bytes();
-}
-
-const SigmaContext& SigmaContext::transposed() const {
-  if (!transposed_) {
-    transposed_ =
-        std::unique_ptr<SigmaContext>(new SigmaContext(space_.transposed(),
-                                                       ints_));
-  }
-  return *transposed_;
+  std::size_t b = ops_->bytes() + alpha_->bytes();
+  if (beta_ != alpha_) b += beta_->bytes();
+  return b;
 }
 
 }  // namespace xfci::fci

@@ -28,9 +28,9 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
   if (space.nalpha() == 0) return;
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
-  const IndexStreams& streams = ctx.alpha_streams();
+  const IndexStreams& streams = ctx.alpha().create_streams;
   const auto& h = ctx.ints().h;
-  const StringSpace& m1 = *ctx.alpha_m1();
+  const StringSpace& m1 = *ctx.alpha().m1;
 
   for (std::size_t hk = 0; hk < nh; ++hk) {
     for (std::size_t ik = 0; ik < m1.count(hk); ++ik) {
@@ -68,8 +68,8 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
   if (space.nalpha() < 2) return;
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
-  const StringSpace& m2 = *ctx.alpha_m2();
-  const IndexStreams& streams = ctx.pair_streams();
+  const StringSpace& m2 = *ctx.alpha().m2;
+  const IndexStreams& streams = ctx.alpha().pair_streams;
 
   linalg::Matrix d, e;
   for (std::size_t hk = 0; hk < nh; ++hk) {
@@ -123,11 +123,11 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
   const CiSpace& space = ctx.space();
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
-  const auto& alist = ctx.alpha_create()->list(hk, ik);
+  const auto& alist = ctx.alpha().create->list(hk, ik);
   XFCI_ASSERT(ccols.size() == alist.size() && scols.size() == alist.size(),
               "mixed-spin column pointer count mismatch");
-  const StringSpace& bm1 = *ctx.beta_m1();
-  const IndexStreams& bstreams = ctx.beta_streams();
+  const StringSpace& bm1 = *ctx.beta().m1;
+  const IndexStreams& bstreams = ctx.beta().create_streams;
 
   thread_local linalg::Matrix d, e;
   for (std::size_t hkb = 0; hkb < nh; ++hkb) {
@@ -193,7 +193,7 @@ int transpose_parity(const CiSpace& space, std::span<const double> c,
                "transpose parity: c size must equal the CI dimension");
   if (space.nalpha() != space.nbeta()) return 0;
   std::vector<double> pc;
-  space.transpose_vector(std::vector<double>(c.begin(), c.end()), pc);
+  space.transpose_vector(c, pc);
   // With nalpha == nbeta the transposed space has the identical block
   // layout, so pc is a vector over the same index set.
   double cc = 0.0, cpc = 0.0;

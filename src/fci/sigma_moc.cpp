@@ -16,8 +16,8 @@ void moc_same_spin_columns(const SigmaContext& ctx,
                "MOC same-spin sigma: one view per irrep required");
   if (space.nalpha() < 2) return;
   const auto& group = space.group();
-  const StringSpace& m2 = *ctx.alpha_m2();
-  const auto& pair_table = *ctx.alpha_pair();
+  const StringSpace& m2 = *ctx.alpha().m2;
+  const auto& pair_table = *ctx.alpha().pair;
 
   // For each intermediate K, every (annihilated pair, created pair)
   // combination is one Hamiltonian element applied as a column AXPY:
@@ -71,8 +71,8 @@ void moc_mixed_spin_columns(
                "MOC mixed-spin sigma: column range outside the block");
   if (space.nalpha() < 1 || space.nbeta() < 1) return;
   const StringSpace& sa = space.alpha();
-  const StringSpace& bm1 = *ctx.beta_m1();
-  const auto& btable = *ctx.beta_create();
+  const StringSpace& bm1 = *ctx.beta().m1;
+  const auto& btable = *ctx.beta().create;
   const auto& eri = ctx.ints().eri;
   const std::size_t n = space.norb();
   const CiBlock& blk = space.blocks()[b];

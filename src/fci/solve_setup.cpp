@@ -30,20 +30,7 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
              target_irrep),
       context_(space_, ints_),
       options_(options),
-      target_irrep_(target_irrep) {
-  // Materialize every lazily-built table a sigma application or the parity
-  // purifier can touch, so sessions sharing this setup never race on a
-  // first touch (ParallelSigma's constructor plays the same trick):
-  //  * the transposed SigmaContext (the beta-side phase),
-  //  * the transpose map of the transposed space — every transpose back
-  //    to the alpha-column layout (the RDM code) routes through it,
-  //  * space_.transposed() itself, which transpose_vector (and with it the
-  //    Ms = 0 purifier and transpose_parity) builds on first use.
-  if (options_.algorithm != Algorithm::kDense) {
-    context_.transposed();
-    space_.transposed().transposed();
-  }
-}
+      target_irrep_(target_irrep) {}
 
 std::unique_ptr<SigmaOperator> SolveSetup::make_sigma() const {
   return fci::make_sigma(options_.algorithm, context_,
@@ -63,14 +50,9 @@ std::shared_ptr<const ModelSpacePreconditioner> SolveSetup::preconditioner(
 std::size_t SolveSetup::memory_bytes() const {
   const std::size_t w = sizeof(double);
   std::size_t bytes = ints_.h.size() * w + ints_.eri.packed_size() * w;
+  // Both orientations of the space and of the context, each distinct
+  // table counted once.
   bytes += space_.bytes() + context_.bytes();
-  // The constructor materialized the transposed context and both
-  // transposed spaces (not for the dense algorithm, whose sigma needs
-  // none of them; calling transposed() here would build them).
-  if (options_.algorithm != Algorithm::kDense) {
-    bytes += context_.transposed().bytes() + space_.transposed().bytes() +
-             space_.transposed().transposed().bytes();
-  }
   // CI-dimension state held per setup: the preconditioner diagonal.
   bytes += space_.dimension() * w;
   return bytes;

@@ -10,11 +10,10 @@
 // concurrently through shared_ptr<const SolveSetup>, which is what the
 // serve::Engine's setup cache hands out.
 //
-// Thread safety: the constructor eagerly materializes every lazily-built
-// table a sigma application can touch (the transposed SigmaContext and the
-// transpose maps in both directions — the same trick ParallelSigma's
-// concurrent path uses), so concurrent sessions only ever read.  The one
-// mutable member, the preconditioner memo, is guarded by its own mutex.
+// Thread safety: the space and the context build both of their
+// orientations in their constructors, so concurrent sessions only ever
+// read them.  The one mutable member, the preconditioner memo, is guarded
+// by its own mutex.
 
 #include <cstddef>
 #include <map>
@@ -54,8 +53,8 @@ struct SetupOptions {
 /// shared_ptr-only factory.
 class SolveSetup {
  public:
-  /// Builds the full setup (CI space, sigma context, eager transpose
-  /// tables).  The integral tables are taken by value and owned.
+  /// Builds the full setup (CI space and sigma context, both with their
+  /// transposes).  The integral tables are taken by value and owned.
   static std::shared_ptr<const SolveSetup> create(
       integrals::IntegralTables ints, std::size_t nalpha, std::size_t nbeta,
       std::size_t target_irrep = 0, const SetupOptions& options = {});
@@ -86,9 +85,9 @@ class SolveSetup {
       std::size_t model_space) const;
 
   /// Resident-memory estimate used by the serve layer's cache eviction
-  /// accounting: the integral tables, the CI spaces' string tables, both
-  /// context orientations (string tables, index streams, DGEMM operand
-  /// matrices) and one word per determinant.
+  /// accounting: the integral tables, CiSpace::bytes() and
+  /// SigmaContext::bytes() (both orientations, each distinct table once)
+  /// and one word per determinant.
   std::size_t memory_bytes() const;
 
  private:

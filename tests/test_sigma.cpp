@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 
 #include "chem/pointgroup.hpp"
 #include "common/rng.hpp"
@@ -445,28 +446,25 @@ void expect_context_streams(const xf::SigmaContext& ctx) {
         group.product(ctx.orbital_irrep(c.hi), ctx.orbital_irrep(c.lo)),
         ctx.ss_pair_position(c.hi, c.lo)};
   };
-  if (ctx.alpha_create() != nullptr)
-    expect_streams_match(*ctx.alpha_create(), *ctx.alpha_m1(),
-                         ctx.alpha_streams(), by_orbital);
-  if (ctx.alpha_pair() != nullptr) {
-    expect_streams_match(*ctx.alpha_pair(), *ctx.alpha_m2(),
-                         ctx.pair_streams(), by_pair);
+  for (const xf::SpinTables* t : {&ctx.alpha(), &ctx.beta()}) {
+    if (t->create)
+      expect_streams_match(*t->create, *t->m1, t->create_streams, by_orbital);
+    if (!t->pair) continue;
+    expect_streams_match(*t->pair, *t->m2, t->pair_streams, by_pair);
     // Same-spin D rows lie inside the pair block.
     for (std::size_t hk = 0; hk < nh; ++hk)
       for (std::size_t hp = 0; hp < nh; ++hp)
-        for (const auto& e : ctx.pair_streams().stream(hk, hp))
+        for (const auto& e : t->pair_streams.stream(hk, hp))
           EXPECT_LT(e.column, ctx.ss_num_pairs(hp));
   }
-  if (ctx.beta_create() == nullptr) return;
-  expect_streams_match(*ctx.beta_create(), *ctx.beta_m1(), ctx.beta_streams(),
-                       by_orbital);
+  if (!ctx.beta().create) return;
   // Mixed-spin D columns: for every cross irrep hX and alpha orbital q the
   // beta stream of irrep hX x irrep(q) lands inside INT_hX's columns.
   for (std::size_t hkb = 0; hkb < nh; ++hkb)
     for (std::size_t hx = 0; hx < nh; ++hx)
       for (std::size_t q = 0; q < ctx.space().norb(); ++q) {
         const std::size_t hs = group.product(hx, ctx.orbital_irrep(q));
-        for (const auto& e : ctx.beta_streams().stream(hkb, hs))
+        for (const auto& e : ctx.beta().create_streams.stream(hkb, hs))
           EXPECT_LT(ctx.ab_col_base(hx, q) + e.column, ctx.ab_num_cols(hx));
       }
 }
@@ -492,63 +490,149 @@ TEST(IndexStreams, PartitionTheTablesInOrder) {
   const xf::SigmaContext ctx(space, tables);
   ASSERT_TRUE(ctx.orbitals_of(2).empty());
   for (std::size_t hk = 0; hk < 8; ++hk)
-    EXPECT_TRUE(ctx.beta_streams().stream(hk, 2).empty());
+    EXPECT_TRUE(ctx.beta().create_streams.stream(hk, 2).empty());
+}
+
+TEST(SigmaContext, SharesOneTableSetPerElectronCount) {
+  // A space and its transpose share their string spaces, and a context and
+  // its transpose share their operands and spin tables with alpha and beta
+  // swapped; with nalpha == nbeta the alpha and beta sets are one object.
+  for (std::size_t i = 0; i < table_cases().size(); ++i) {
+    const TableCase& tc = table_cases()[i];
+    SCOPED_TRACE(i);
+    const auto tables = random_tables(tc.norb, tc.group, tc.irreps, 80 + i);
+    const xf::CiSpace space(tc.norb, tc.na, tc.nb, tables.group,
+                            tables.orbital_irreps, tc.target);
+    const xf::SigmaContext ctx(space, tables);
+    const xf::CiSpace& tspace = space.transposed();
+    const xf::SigmaContext& tctx = ctx.transposed();
+    EXPECT_EQ(&tspace.transposed(), &space);
+    EXPECT_EQ(&tspace.alpha(), &space.beta());
+    EXPECT_EQ(&tspace.beta(), &space.alpha());
+    EXPECT_EQ(&tctx.transposed(), &ctx);
+    EXPECT_EQ(&tctx.space(), &tspace);
+    EXPECT_EQ(&tctx.alpha(), &ctx.beta());
+    EXPECT_EQ(&tctx.beta(), &ctx.alpha());
+    for (std::size_t h = 0; h < space.group().num_irreps(); ++h) {
+      EXPECT_EQ(&tctx.ab_integrals(h), &ctx.ab_integrals(h));
+      EXPECT_EQ(&tctx.ss_integrals(h), &ctx.ss_integrals(h));
+    }
+    if (tc.na == tc.nb) {
+      EXPECT_EQ(&space.alpha(), &space.beta());
+      EXPECT_EQ(&ctx.alpha(), &ctx.beta());
+    } else {
+      EXPECT_NE(&space.alpha(), &space.beta());
+      EXPECT_NE(&ctx.alpha(), &ctx.beta());
+      EXPECT_EQ(ctx.alpha().m1->nelec(), tc.na - 1);
+      EXPECT_EQ(ctx.beta().m1->nelec(), tc.nb - 1);
+    }
+  }
 }
 
 TEST(SolveSetup, MemoryBytesCoversEveryTable) {
-  // memory_bytes() is at least the sum of the parts a setup holds,
-  // counted here from the tables' own extents: the integrals, the string
-  // spaces of the space and its two transposes, and per context
-  // orientation the intermediate string spaces, the creation tables, the
-  // index streams and the DGEMM operand matrices.
-  for (const std::size_t i : {0u, 3u}) {  // D2h and C1
+  // memory_bytes() is the integrals, CiSpace::bytes() and
+  // SigmaContext::bytes() and one word per determinant, where those two
+  // count the distinct string spaces and spin tables once, plus both
+  // orientations' block tables and the shared operands.  It is at least
+  // the sum of the parts counted from the tables' own extents.
+  for (const std::size_t i : {0u, 1u, 3u}) {  // D2h, D2h open shell, C1
     const TableCase& tc = table_cases()[i];
-    SCOPED_TRACE(tc.group);
+    SCOPED_TRACE(i);
     auto tables = random_tables(tc.norb, tc.group, tc.irreps, 70 + i);
     const std::size_t int_bytes =
         (tables.h.size() + tables.eri.packed_size()) * sizeof(double);
     const auto setup =
         xf::SolveSetup::create(std::move(tables), tc.na, tc.nb, tc.target);
     const xf::CiSpace& space = setup->space();
+    const xf::SigmaContext& ctx = setup->context();
+    const std::size_t n = space.norb();
+    const std::size_t nh = space.group().num_irreps();
+    const std::size_t w = sizeof(std::size_t);
+    const bool shared = tc.na == tc.nb;
+    EXPECT_EQ(setup->memory_bytes(), int_bytes + space.bytes() + ctx.bytes() +
+                                         space.dimension() * sizeof(double));
+
+    // Each distinct string space once, each orientation's block tables.
+    std::size_t space_bytes = space.alpha().bytes();
+    if (!shared) space_bytes += space.beta().bytes();
+    for (const xf::CiSpace* s : {&space, &space.transposed()})
+      space_bytes += s->orbital_irreps().size() * w +
+                     s->blocks().size() * sizeof(xf::CiBlock) + nh * w;
+    EXPECT_EQ(space.bytes(), space_bytes);
+    EXPECT_EQ(space.transposed().bytes(), space_bytes);
+
+    // The operands once: orbital lists and positions, mixed-spin column
+    // tables, pair lists and positions, and the integral matrices.
+    std::size_t matrices = 0;
+    for (std::size_t h = 0; h < nh; ++h)
+      matrices += (ctx.ab_integrals(h).size() + ctx.ss_integrals(h).size()) *
+                  sizeof(double);
+    std::size_t ctx_bytes = n * sizeof(std::uint16_t) + n * w + nh * w +
+                            nh * n * w + n * (n - 1) * sizeof(std::uint16_t) +
+                            n * n * w + matrices + ctx.alpha().bytes();
+    if (!shared) ctx_bytes += ctx.beta().bytes();
+    EXPECT_EQ(ctx.bytes(), ctx_bytes);
+    EXPECT_EQ(ctx.transposed().bytes(), ctx_bytes);
+
+    // Lower bound from the extents, each distinct table once.
     const auto masks = [](const xf::StringSpace* s) {
       return s == nullptr ? 0 : s->total() * sizeof(xf::StringMask);
     };
     const auto entries = [](const auto* t, const xf::StringSpace* from,
                             std::size_t item_bytes) {
-      std::size_t n = 0;
-      if (t == nullptr) return n;
+      std::size_t count = 0;
+      if (t == nullptr) return count;
       for (std::size_t h = 0; h < from->num_irreps(); ++h)
         for (std::size_t k = 0; k < from->count(h); ++k)
-          n += t->list(h, k).size();
-      return n * item_bytes;
+          count += t->list(h, k).size();
+      return count * item_bytes;
     };
-    std::size_t lower = int_bytes + space.dimension() * sizeof(double);
-    for (const xf::CiSpace* s :
-         {&space, &space.transposed(), &space.transposed().transposed()})
-      lower += masks(&s->alpha()) + masks(&s->beta());
-    std::size_t parts = int_bytes + space.bytes() +
-                        space.transposed().bytes() +
-                        space.transposed().transposed().bytes();
-    for (const xf::SigmaContext* ctx :
-         {&setup->context(), &setup->context().transposed()}) {
-      lower += masks(ctx->alpha_m1()) + masks(ctx->beta_m1()) +
-               masks(ctx->alpha_m2());
-      lower += entries(ctx->alpha_create(), ctx->alpha_m1(),
-                       sizeof(xf::Creation)) +
-               entries(ctx->beta_create(), ctx->beta_m1(),
-                       sizeof(xf::Creation)) +
-               entries(ctx->alpha_pair(), ctx->alpha_m2(),
-                       sizeof(xf::PairCreation));
-      lower += (ctx->alpha_streams().size() + ctx->beta_streams().size() +
-                ctx->pair_streams().size()) *
+    std::size_t lower = int_bytes + space.dimension() * sizeof(double) +
+                        matrices + masks(&space.alpha());
+    if (!shared) lower += masks(&space.beta());
+    for (const xf::SpinTables* t : {&ctx.alpha(), &ctx.beta()}) {
+      if (shared && t == &ctx.beta()) continue;
+      lower += masks(t->m1.get()) + masks(t->m2.get());
+      lower += entries(t->create.get(), t->m1.get(), sizeof(xf::Creation)) +
+               entries(t->pair.get(), t->m2.get(), sizeof(xf::PairCreation));
+      lower += (t->create_streams.size() + t->pair_streams.size()) *
                sizeof(xf::StreamEntry);
-      for (std::size_t h = 0; h < space.group().num_irreps(); ++h)
-        lower += (ctx->ab_integrals(h).size() + ctx->ss_integrals(h).size()) *
-                 sizeof(double);
-      parts += ctx->bytes();
     }
-    EXPECT_GT(setup->context().beta_streams().size(), 0u);
+    EXPECT_GT(ctx.beta().create_streams.size(), 0u);
     EXPECT_GE(setup->memory_bytes(), lower);
-    EXPECT_GE(setup->memory_bytes(), parts);
+  }
+}
+
+TEST(ThreadedSigmaContext, TwoThreadsShareABareContext) {
+  // A bare SigmaContext -- no SolveSetup, no earlier transposed() call --
+  // shared by two threads that each build and apply their own DGEMM
+  // operator at the same time: both results are bitwise the serial apply,
+  // which runs last so that nothing touches the context before the
+  // threads do.  Under the tsan preset this is the race check of the
+  // context's read-only sharing.
+  for (const auto& [na, nb] : {std::pair<std::size_t, std::size_t>{3, 3},
+                               std::pair<std::size_t, std::size_t>{4, 2}}) {
+    SCOPED_TRACE(na);
+    const auto tables =
+        random_tables(8, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 90 + na);
+    const xf::CiSpace space(8, na, nb, tables.group, tables.orbital_irreps,
+                            0);
+    const xf::SigmaContext ctx(space, tables);
+    xfci::Rng rng(95 + na);
+    const std::vector<double> c = rng.signed_vector(space.dimension());
+
+    std::vector<double> out[2];
+    std::vector<std::thread> threads;
+    for (auto& o : out) {
+      o.assign(c.size(), 0.0);
+      threads.emplace_back([&ctx, &c, &o] {
+        xf::make_sigma(xf::Algorithm::kDgemm, ctx)->apply(c, o);
+      });
+    }
+    for (auto& t : threads) t.join();
+
+    std::vector<double> serial(c.size());
+    xf::make_sigma(xf::Algorithm::kDgemm, ctx)->apply(c, serial);
+    for (const auto& o : out) EXPECT_EQ(o, serial);
   }
 }
