@@ -43,27 +43,35 @@ struct Shape {
   std::size_t m, n, k;
 };
 
-/// Repeats fn until ~min_seconds of wall clock accumulates (at least once)
-/// and returns the best seconds-per-call over three such reps.  Best-of
-/// rather than mean: on a shared host the interesting number is the
-/// machine's rate, not the scheduler's, and the minimum is the
-/// lowest-noise estimator of it.
+/// Times fn in batches and returns the best seconds-per-call over them.
+/// A batch is calibrated to ~min_seconds / 20 of wall clock (at least one
+/// call); then batches run until both kMinBatches have run and
+/// 3 * min_seconds of measurement have passed, ~60 batches when a call is
+/// short.  Best-of rather than mean: on a shared host the interesting
+/// number is the machine's rate, not the scheduler's, and the minimum over
+/// many short batches is the lowest-noise estimator of it.
+constexpr int kMinBatches = 15;
+
 template <typename Fn>
 double time_per_call(Fn&& fn, double min_seconds) {
   fn();  // warm up: page in buffers, settle the dispatch
+  const double batch_seconds = min_seconds / 20.0;
   int iters = 1;
   double best = 0.0;
   for (;;) {
     xfci::Timer t;
     for (int i = 0; i < iters; ++i) fn();
     const double s = t.seconds();
-    if (s >= min_seconds || iters >= (1 << 20)) {
+    if (s >= batch_seconds || iters >= (1 << 20)) {
       best = s / iters;
       break;
     }
     iters = (s <= 0.0) ? iters * 8 : iters * 2;
   }
-  for (int rep = 0; rep < 2; ++rep) {
+  xfci::Timer measured;
+  for (int batch = 0;
+       batch < kMinBatches || measured.seconds() < 3.0 * min_seconds;
+       ++batch) {
     xfci::Timer t;
     for (int i = 0; i < iters; ++i) fn();
     best = std::min(best, t.seconds() / iters);

@@ -138,40 +138,53 @@ std::vector<double> hamiltonian_diagonal(
     const CiSpace& space, const integrals::IntegralTables& ints) {
   std::vector<double> diag(space.dimension());
   const auto& eri = ints.eri;
-  std::vector<int> occ_a, occ_b;
+  const std::size_t norb = space.norb();
+  // Diagonal = E(alpha) + E(beta) + cross(alpha, beta), where
+  // E(s) = sum_p h_pp + 1/2 sum_pq [(pp|qq) - (pq|qp)] over the string's
+  // orbitals and cross = sum_{p in alpha} v_beta(p) with the per-beta-string
+  // partial sums v_beta(p) = sum_{q in beta} (pp|qq).
+  std::vector<double> coulomb(norb * norb);  // (pp|qq)
+  for (std::size_t p = 0; p < norb; ++p)
+    for (std::size_t q = 0; q < norb; ++q)
+      coulomb[p * norb + q] = eri(p, p, q, q);
+  const auto string_energy = [&](StringMask m, std::vector<int>& occ) {
+    occupied(m, occ);
+    double e = 0.0;
+    for (int p : occ) {
+      e += ints.h(p, p);
+      for (int q : occ) e += 0.5 * (eri(p, p, q, q) - eri(p, q, q, p));
+    }
+    return e;
+  };
+  std::vector<int> occ;
+  std::vector<double> ea, eb, vb;
+  std::vector<std::vector<int>> occs_a;
   for (const CiBlock& blk : space.blocks()) {
-    // Precompute per-string partial sums: diagonal separates into
-    // E(alpha) + E(beta) + cross(alpha, beta).
-    std::vector<double> ea(blk.na), eb(blk.nb);
-    std::vector<std::vector<int>> occs_a(blk.na), occs_b(blk.nb);
-    for (std::size_t ia = 0; ia < blk.na; ++ia) {
-      occupied(space.alpha().mask(blk.halpha, ia), occ_a);
-      occs_a[ia] = occ_a;
-      double e = 0.0;
-      for (int p : occ_a) {
-        e += ints.h(p, p);
-        for (int q : occ_a)
-          e += 0.5 * (eri(p, p, q, q) - eri(p, q, q, p));
-      }
-      ea[ia] = e;
+    const std::size_t na = blk.na, nb = blk.nb;
+    ea.resize(na);
+    occs_a.resize(na);
+    for (std::size_t ia = 0; ia < na; ++ia) {
+      ea[ia] = string_energy(space.alpha().mask(blk.halpha, ia), occ);
+      occs_a[ia] = occ;
     }
-    for (std::size_t ib = 0; ib < blk.nb; ++ib) {
-      occupied(space.beta().mask(blk.hbeta, ib), occ_b);
-      occs_b[ib] = occ_b;
-      double e = 0.0;
-      for (int p : occ_b) {
-        e += ints.h(p, p);
-        for (int q : occ_b)
-          e += 0.5 * (eri(p, p, q, q) - eri(p, q, q, p));
+    // vb(p, ib) = v_beta(p) of beta string ib, orbital-major so the cross
+    // term streams over the block's beta strings.
+    eb.resize(nb);
+    vb.assign(norb * nb, 0.0);
+    for (std::size_t ib = 0; ib < nb; ++ib) {
+      eb[ib] = string_energy(space.beta().mask(blk.hbeta, ib), occ);
+      for (std::size_t p = 0; p < norb; ++p) {
+        double v = 0.0;
+        for (int q : occ) v += coulomb[p * norb + static_cast<std::size_t>(q)];
+        vb[p * nb + ib] = v;
       }
-      eb[ib] = e;
     }
-    for (std::size_t ia = 0; ia < blk.na; ++ia) {
-      for (std::size_t ib = 0; ib < blk.nb; ++ib) {
-        double cross = 0.0;
-        for (int p : occs_a[ia])
-          for (int q : occs_b[ib]) cross += eri(p, p, q, q);
-        diag[blk.offset + ia * blk.nb + ib] = ea[ia] + eb[ib] + cross;
+    for (std::size_t ia = 0; ia < na; ++ia) {
+      double* row = diag.data() + blk.offset + ia * nb;
+      for (std::size_t ib = 0; ib < nb; ++ib) row[ib] = ea[ia] + eb[ib];
+      for (int p : occs_a[ia]) {
+        const double* v = vb.data() + static_cast<std::size_t>(p) * nb;
+        for (std::size_t ib = 0; ib < nb; ++ib) row[ib] += v[ib];
       }
     }
   }

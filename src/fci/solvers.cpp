@@ -11,12 +11,35 @@
 #include "fci/checkpoint.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/solve.hpp"
 
 namespace xfci::fci {
 namespace {
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+// Model-space eigenvalues within this distance of the shift are dropped
+// from (H_mm - e)^+.
+constexpr double kPinvCutoff = 1e-10;
+
+// diag - e outside the model space, pushed away from zero to +-1e-6.
+double shifted_diagonal(double diag, double e) {
+  const double d = diag - e;
+  if (std::abs(d) < 1e-6) return d >= 0 ? 1e-6 : -1e-6;
+  return d;
+}
+
+// Visits every index i < dim in ascending order: outside(i) when i is not
+// in the ascending list `model`, inside(k) when i == model[k].  Sums
+// accumulated in the visits keep the plain index order of a dot product.
+template <typename Outside, typename Inside>
+void for_each_index(const std::vector<std::size_t>& model, std::size_t dim,
+                    Outside&& outside, Inside&& inside) {
+  std::size_t begin = 0;
+  for (std::size_t k = 0; k <= model.size(); ++k) {
+    const std::size_t end = k < model.size() ? model[k] : dim;
+    for (std::size_t i = begin; i < end; ++i) outside(i);
+    if (k < model.size()) inside(k);
+    begin = end + 1;
+  }
+}
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   return linalg::dot(std::span<const double>(a), std::span<const double>(b));
@@ -99,19 +122,42 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
   std::sort(model_.begin(), model_.end());
 
   const std::size_t mm = model_.size();  // may exceed m after closure
-  inv_.assign(dim, kNone);
-  for (std::size_t i = 0; i < mm; ++i) inv_[model_[i]] = i;
-
-  hmm_.resize(mm, mm);
+  linalg::Matrix hmm(mm, mm);
   std::vector<Determinant> dets(mm);
   for (std::size_t i = 0; i < mm; ++i)
     dets[i] = determinant_at(space, model_[i]);
   for (std::size_t i = 0; i < mm; ++i)
     for (std::size_t j = 0; j <= i; ++j) {
       const double v = hamiltonian_element(ints, dets[i], dets[j]);
-      hmm_(i, j) = v;
-      hmm_(j, i) = v;
+      hmm(i, j) = v;
+      hmm(j, i) = v;
     }
+  factor_ = linalg::eigh(hmm);
+}
+
+void ModelSpacePreconditioner::model_solve(double e, const double* xm,
+                                           double* ym) const {
+  // ym = V (w - e)^+ V^T xm.  The block can be exactly singular (e equal
+  // to a model-space eigenvalue), so the pseudo-inverse projects the
+  // offending direction out.
+  const std::size_t m = model_.size();
+  const linalg::Matrix& v = factor_.vectors;
+  std::vector<double> f(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const double d = factor_.values[j] - e;
+    if (std::abs(d) < kPinvCutoff) {
+      f[j] = 0.0;
+      continue;
+    }
+    double s = 0.0;
+    for (std::size_t i = 0; i < m; ++i) s += v(i, j) * xm[i];
+    f[j] = s / d;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < m; ++j) s += v(i, j) * f[j];
+    ym[i] = s;
+  }
 }
 
 void ModelSpacePreconditioner::apply_inverse(double e,
@@ -119,26 +165,74 @@ void ModelSpacePreconditioner::apply_inverse(double e,
                                              std::span<double> y) const {
   XFCI_REQUIRE(x.size() == diag_.size() && y.size() == x.size(),
                "preconditioner size mismatch");
-  // Outside the model space: diagonal division with regularization.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double denom = diag_[i] - e;
-    if (std::abs(denom) < 1e-6) denom = (denom >= 0 ? 1e-6 : -1e-6);
-    y[i] = x[i] / denom;
-  }
-  // Inside: exact solve of (H_mm - e) y_m = x_m.  The block can be exactly
-  // singular (e equal to a model-space eigenvalue), so use the
-  // pseudo-inverse, which projects the offending direction out.
   const std::size_t m = model_.size();
-  if (m == 0) return;
-  linalg::Matrix a(m, m);
-  std::vector<double> xm(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    xm[i] = x[model_[i]];
-    for (std::size_t j = 0; j < m; ++j)
-      a(i, j) = hmm_(i, j) - (i == j ? e : 0.0);
+  std::vector<double> xm(m), ym(m);
+  for (std::size_t k = 0; k < m; ++k) xm[k] = x[model_[k]];
+  model_solve(e, xm.data(), ym.data());
+  for_each_index(
+      model_, x.size(),
+      [&](std::size_t i) { y[i] = x[i] / shifted_diagonal(diag_[i], e); },
+      [&](std::size_t k) { y[model_[k]] = ym[k]; });
+}
+
+OlsenStep ModelSpacePreconditioner::correction(double e,
+                                               std::span<const double> c,
+                                               std::span<const double> sigma,
+                                               std::span<double> t) const {
+  const std::size_t dim = diag_.size();
+  XFCI_REQUIRE(c.size() == dim && sigma.size() == dim && t.size() == dim,
+               "correction vector size mismatch");
+  // Model rows first: c_m, r_m and their images under (H_mm - e)^+.
+  const std::size_t m = model_.size();
+  std::vector<double> cm(m), rm(m), pcm(m), prm(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    cm[k] = c[model_[k]];
+    rm[k] = sigma[model_[k]] - e * cm[k];
   }
-  const auto ym = linalg::sym_solve_pinv(a, xm, 1e-10);
-  for (std::size_t i = 0; i < m; ++i) y[model_[i]] = ym[i];
+  model_solve(e, cm.data(), pcm.data());
+  model_solve(e, rm.data(), prm.data());
+
+  // Pass 1: eps = <c|(H0 - e)^-1 r> / <c|(H0 - e)^-1 c>.  t holds the
+  // reciprocal denominators until pass 2 overwrites them.
+  double num = 0.0, den = 0.0;
+  for_each_index(
+      model_, dim,
+      [&](std::size_t i) {
+        const double inv = 1.0 / shifted_diagonal(diag_[i], e);
+        const double ci = c[i];
+        num += ci * ((sigma[i] - e * ci) * inv);
+        den += ci * (ci * inv);
+        t[i] = inv;
+      },
+      [&](std::size_t k) {
+        num += cm[k] * prm[k];
+        den += cm[k] * pcm[k];
+      });
+  const double eps = std::abs(den) > 1e-300 ? num / den : 0.0;
+
+  // Pass 2: t = -(H0 - e)^-1 (r - eps c), accumulating <c|t>.
+  double ov = 0.0;
+  for_each_index(
+      model_, dim,
+      [&](std::size_t i) {
+        const double inv = t[i];
+        const double ci = c[i];
+        t[i] = -((sigma[i] - e * ci) * inv - eps * (ci * inv));
+        ov += ci * t[i];
+      },
+      [&](std::size_t k) {
+        t[model_[k]] = -(prm[k] - eps * pcm[k]);
+        ov += cm[k] * t[model_[k]];
+      });
+
+  // Pass 3: remove the round-off overlap with c; <sigma|t> and <t|t>.
+  OlsenStep step;
+  for (std::size_t i = 0; i < dim; ++i) {
+    t[i] -= ov * c[i];
+    step.b += sigma[i] * t[i];
+    step.tt += t[i] * t[i];
+  }
+  return step;
 }
 
 std::vector<double> ModelSpacePreconditioner::initial_guess(
@@ -170,11 +264,10 @@ std::vector<std::vector<double>> ModelSpacePreconditioner::initial_guesses(
   }
   XFCI_REQUIRE(count <= model_.size(),
                "more roots requested than model-space dimension");
-  const auto eig = linalg::eigh(hmm_);
   for (std::size_t k = 0; k < count; ++k) {
     std::vector<double> g(dimension, 0.0);
     for (std::size_t i = 0; i < model_.size(); ++i)
-      g[model_[i]] = eig.vectors(i, k);
+      g[model_[i]] = factor_.vectors(i, k);
     out.push_back(std::move(g));
   }
   return out;
@@ -182,25 +275,15 @@ std::vector<std::vector<double>> ModelSpacePreconditioner::initial_guesses(
 
 namespace {
 
-// Olsen correction vector (Eqs. 11-12), with the perturbation-theory sign
-// so that C + t improves C:
-//   t = -(H0 - E)^-1 (r - eps C),  eps = <C|(H0-E)^-1 r> / <C|(H0-E)^-1 C>.
-// Guarantees <C|t> = 0.
-std::vector<double> olsen_correction(const ModelSpacePreconditioner& precond,
-                                     double e, const std::vector<double>& c,
-                                     const std::vector<double>& residual) {
-  const std::size_t dim = c.size();
-  std::vector<double> pr(dim), pc(dim);
-  precond.apply_inverse(e, residual, pr);
-  precond.apply_inverse(e, c, pc);
-  const double denom = dot(c, pc);
-  const double eps = std::abs(denom) > 1e-300 ? dot(c, pr) / denom : 0.0;
-  std::vector<double> t(dim);
-  for (std::size_t i = 0; i < dim; ++i) t[i] = -(pr[i] - eps * pc[i]);
-  // Remove residual numerical overlap for robustness.
-  const double ov = dot(c, t);
-  for (std::size_t i = 0; i < dim; ++i) t[i] -= ov * c[i];
-  return t;
+// ||sigma - e c||, the residual norm, without storing the residual.
+double residual_norm(const std::vector<double>& c,
+                     const std::vector<double>& sigma, double e) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const double r = sigma[i] - e * c[i];
+    s += r * r;
+  }
+  return std::sqrt(s);
 }
 
 // Cooperative cancellation poll (iteration boundaries only, so a stopped
@@ -227,6 +310,15 @@ void traced_save(const SolverOptions& opt, const Checkpoint& ck) {
     tr->span(tr->control_track(), "io", "checkpoint_save", t0, tr->now(),
              obs::trace_args(
                  {{"iter", static_cast<double>(ck.iteration)}}));
+}
+
+// traced_save with `c` lent to the checkpoint for the write instead of
+// copied into it.
+void save_with_vector(const SolverOptions& opt, Checkpoint& ck,
+                      std::vector<double>& c) {
+  ck.c.swap(c);
+  traced_save(opt, ck);
+  ck.c.swap(c);
 }
 
 Checkpoint traced_load(const SolverOptions& opt) {
@@ -333,7 +425,7 @@ SolverResult solve_davidson(SigmaOperator& op,
 
     bool all_converged = k >= nroots;
     double max_rnorm = 0.0;
-    std::vector<std::vector<double>> residuals(nroots);
+    std::vector<double> rnorms(nroots, 0.0);
     for (std::size_t root = 0; root < nroots && root < k; ++root) {
       theta[root] = eig.values[root];
       std::fill(ritz[root].begin(), ritz[root].end(), 0.0);
@@ -343,11 +435,9 @@ SolverResult solve_davidson(SigmaOperator& op,
         linalg::daxpy_n(dim, w, basis[i].data(), ritz[root].data());
         linalg::daxpy_n(dim, w, hbasis[i].data(), sigma_ritz[root].data());
       }
-      residuals[root].resize(dim);
-      for (std::size_t i = 0; i < dim; ++i)
-        residuals[root][i] =
-            sigma_ritz[root][i] - theta[root] * ritz[root][i];
-      const double rnorm = std::sqrt(dot(residuals[root], residuals[root]));
+      const double rnorm =
+          residual_norm(ritz[root], sigma_ritz[root], theta[root]);
+      rnorms[root] = rnorm;
       max_rnorm = std::max(max_rnorm, rnorm);
       const double de = std::abs(theta[root] - last_e[root]);
       last_e[root] = theta[root];
@@ -388,10 +478,9 @@ SolverResult solve_davidson(SigmaOperator& op,
     // New directions: Olsen corrections of the unconverged roots.
     bool added = false;
     for (std::size_t root = 0; root < nroots && root < k; ++root) {
-      const double rnorm = std::sqrt(dot(residuals[root], residuals[root]));
-      if (rnorm < opt.residual_tolerance) continue;
-      std::vector<double> t = olsen_correction(precond, theta[root],
-                                               ritz[root], residuals[root]);
+      if (rnorms[root] < opt.residual_tolerance) continue;
+      std::vector<double> t(dim);
+      precond.correction(theta[root], ritz[root], sigma_ritz[root], t);
       if (opt.purify) opt.purify(t);
       for (int pass = 0; pass < 2; ++pass)
         for (const auto& b : basis) {
@@ -450,7 +539,7 @@ SolverResult solve_subspace2(SigmaOperator& op,
   };
 
   std::vector<double> c = warm_start_vector(precond, dim, opt);
-  std::vector<double> sigma(dim);
+  std::vector<double> sigma(dim), t(dim), ht(dim);
   const double it_init = tr != nullptr ? tr->now() : 0.0;
   op.apply(c, sigma);
   res.iterations = 1;
@@ -464,9 +553,7 @@ SolverResult solve_subspace2(SigmaOperator& op,
       break;
     }
     const double it0 = tr != nullptr ? tr->now() : 0.0;
-    std::vector<double> r(dim);
-    for (std::size_t i = 0; i < dim; ++i) r[i] = sigma[i] - e * c[i];
-    const double rnorm = std::sqrt(dot(r, r));
+    const double rnorm = residual_norm(c, sigma, e);
     const double de = std::abs(e - last_e);
     res.energy_history.push_back(e + core);
     res.residual_history.push_back(rnorm);
@@ -484,8 +571,7 @@ SolverResult solve_subspace2(SigmaOperator& op,
     }
     last_e = e;
 
-    std::vector<double> t = olsen_correction(precond, e, c, r);
-    const double tt = dot(t, t);
+    const double tt = precond.correction(e, c, sigma, t).tt;
     if (tt < 1e-22) {
       res.converged = rnorm < opt.residual_tolerance;
       res.energy = e + core;
@@ -494,7 +580,6 @@ SolverResult solve_subspace2(SigmaOperator& op,
       return res;
     }
 
-    std::vector<double> ht(dim);
     op.apply(t, ht);
     res.iterations = iter;
     const double b = dot(c, ht);
@@ -527,10 +612,9 @@ SolverResult solve_subspace2(SigmaOperator& op,
       ck.iteration = iter;
       ck.method = static_cast<std::uint32_t>(opt.method);
       ck.last_e = e;
-      ck.c = c;
       ck.energy_history = res.energy_history;
       ck.residual_history = res.residual_history;
-      traced_save(opt, ck);
+      save_with_vector(opt, ck, c);
     }
     end_iteration(iter, it0, e + core, rnorm);
   }
@@ -548,8 +632,10 @@ SolverResult solve_single_vector(SigmaOperator& op,
   SolverResult res;
   obs::Tracer* tr = solver_tracer(opt);
 
+  // The three CI-length buffers of the method: C, sigma = H C and the
+  // correction t.  Each iteration overwrites them in place.
   std::vector<double> c;
-  std::vector<double> sigma(dim);
+  std::vector<double> sigma(dim), t(dim);
 
   // State carried between iterations for the auto-adjusted step length
   // (Eqs. 13-15).
@@ -564,12 +650,12 @@ SolverResult solve_single_vector(SigmaOperator& op,
     // Full restart: restore every word of the inter-iteration state.  The
     // CI vector is used verbatim -- renormalizing (dividing by a norm of
     // ~1.0) would perturb the bits and break the trajectory guarantee.
-    const Checkpoint ck = traced_load(opt);
+    Checkpoint ck = traced_load(opt);
     XFCI_REQUIRE(ck.c.size() == dim,
                  "checkpoint CI dimension does not match this problem");
     XFCI_REQUIRE(ck.method == static_cast<std::uint32_t>(opt.method),
                  "checkpoint was written by a different solver method");
-    c = ck.c;
+    c = std::move(ck.c);
     lambda = ck.lambda;
     have_prev = ck.have_prev;
     e_prev = ck.e_prev;
@@ -582,8 +668,6 @@ SolverResult solve_single_vector(SigmaOperator& op,
     res.residual_history = ck.residual_history;
     first_iter = static_cast<std::size_t>(ck.iteration) + 1;
     res.iterations = static_cast<std::size_t>(ck.iteration);
-    res.energy = last_e + core;
-    res.vector = c;
   } else {
     c = warm_start_vector(precond, dim, opt);
   }
@@ -625,9 +709,7 @@ SolverResult solve_single_vector(SigmaOperator& op,
       }
     }
 
-    std::vector<double> r(dim);
-    for (std::size_t i = 0; i < dim; ++i) r[i] = sigma[i] - e * c[i];
-    const double rnorm = std::sqrt(dot(r, r));
+    const double rnorm = residual_norm(c, sigma, e);
     const double de = std::abs(e - last_e);
     last_e = e;
     res.energy_history.push_back(e + core);
@@ -646,21 +728,21 @@ SolverResult solve_single_vector(SigmaOperator& op,
          rnorm < 0.01 * opt.residual_tolerance)) {
       res.converged = true;
       res.energy = e + core;
-      res.vector = c;
+      res.vector = std::move(c);
       end_iteration(iter, it0, e + core, lambda, rnorm);
       return res;
     }
 
-    std::vector<double> t = olsen_correction(precond, e, c, r);
-    const double b = dot(sigma, t);  // <C|H|t>
-    const double tt = dot(t, t);
+    const OlsenStep step = precond.correction(e, c, sigma, t);
+    const double b = step.b;  // <C|H|t>
+    const double tt = step.tt;
     if (tt < 1e-22) {
       // The correction vanished: stationary point.  Accept it if the
       // residual is small; otherwise the preconditioner cannot make
       // progress and iterating further would only amplify noise.
       res.converged = rnorm < opt.residual_tolerance;
       res.energy = e + core;
-      res.vector = c;
+      res.vector = std::move(c);
       end_iteration(iter, it0, e + core, lambda, rnorm);
       return res;
     }
@@ -718,17 +800,16 @@ SolverResult solve_single_vector(SigmaOperator& op,
       ck.s2_prev = s2_prev;
       ck.lambda_prev = lambda_prev;
       ck.last_e = last_e;
-      ck.c = c;
       ck.energy_history = res.energy_history;
       ck.residual_history = res.residual_history;
-      traced_save(opt, ck);
+      save_with_vector(opt, ck, c);
     }
     end_iteration(iter, it0, e + core, lambda, rnorm);
   }
 
   res.converged = false;
   res.energy = last_e + core;
-  res.vector = c;
+  res.vector = std::move(c);
   return res;
 }
 

@@ -18,12 +18,14 @@
 // <C|t> = 0 (Eq. 12).
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/trace.hpp"
 #include "fci/sigma.hpp"
 #include "fci/slater_condon.hpp"
+#include "linalg/eigen.hpp"
 
 namespace xfci::fci {
 
@@ -97,21 +99,52 @@ struct SolverResult {
   std::vector<std::vector<double>> vectors;
 };
 
+/// <sigma|t> and <t|t> of a correction vector t, produced by the same
+/// passes that write t.
+struct OlsenStep {
+  double b = 0.0;   ///< <sigma|t> = <C|H|t>
+  double tt = 0.0;  ///< <t|t>
+};
+
 /// The Olsen preconditioner with an exact model-space block.
+///
+/// H0 is the exact Hamiltonian H_mm over the model space (the lowest
+/// diagonals, closed under the alpha/beta transpose when nalpha == nbeta)
+/// and diag(H) outside it.  The build factors H_mm = V diag(w) V^T once,
+/// so (H0 - e)^-1 costs O(dim + m^2) at any shift e: a regularized
+/// diagonal division outside the model space and V (w - e)^+ V^T inside
+/// it, where the pseudo-inverse drops |w_j - e| < 1e-10 (e may equal a
+/// model-space eigenvalue).  The guesses are columns of the stored V.
 class ModelSpacePreconditioner {
  public:
-  /// Picks the `size` lowest-diagonal determinants as the model space and
-  /// stores the exact Hamiltonian over them.
+  /// Picks the `size` lowest-diagonal determinants as the model space,
+  /// builds the exact Hamiltonian over them and factors it.
   ModelSpacePreconditioner(const CiSpace& space,
                            const integrals::IntegralTables& ints,
                            std::size_t size);
 
   const std::vector<double>& diagonal() const { return diag_; }
+  /// Flat indices of the model determinants, ascending.
+  const std::vector<std::size_t>& model() const { return model_; }
+  /// The model-space Hamiltonian's factor: H_mm = V diag(w) V^T over the
+  /// rows of model(), eigenvalues ascending.
+  const linalg::EigenResult& model_factor() const { return factor_; }
 
   /// y = (H0 - e)^-1 x:  exact solve inside the model space, diagonal
   /// division outside.  Near-zero denominators are regularized.
   void apply_inverse(double e, std::span<const double> x,
                      std::span<double> y) const;
+
+  /// The Olsen correction vector (Eqs. 11-12) of the normalized vector c
+  /// with sigma = H c and e = <c|sigma>, written into t:
+  ///   t = -(H0 - e)^-1 (r - eps c),  r = sigma - e c,
+  ///   eps = <c|(H0 - e)^-1 r> / <c|(H0 - e)^-1 c>,
+  /// with the round-off overlap <c|t> removed.  r, (H0 - e)^-1 r and
+  /// (H0 - e)^-1 c are never stored: three passes over c, sigma and t
+  /// form them on the fly.
+  OlsenStep correction(double e, std::span<const double> c,
+                       std::span<const double> sigma,
+                       std::span<double> t) const;
 
   /// Ground eigenvector of the model-space Hamiltonian scattered into a
   /// full CI vector: the solver's initial guess.
@@ -123,10 +156,12 @@ class ModelSpacePreconditioner {
                                                    std::size_t count) const;
 
  private:
+  /// y_m = V (w - e)^+ V^T x_m over the model rows (both of size m).
+  void model_solve(double e, const double* xm, double* ym) const;
+
   std::vector<double> diag_;
   std::vector<std::size_t> model_;   // flat indices of model determinants
-  std::vector<std::size_t> inv_;     // flat index -> model position or npos
-  linalg::Matrix hmm_;               // model-space Hamiltonian
+  linalg::EigenResult factor_;       // H_mm = V diag(w) V^T
 };
 
 /// Solves for the lowest eigenpair of the sigma operator.  `precond`, when

@@ -1,6 +1,9 @@
 #include "integrals/tables.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "linalg/gemm.hpp"
 
 namespace xfci::integrals {
 
@@ -12,6 +15,32 @@ IntegralTables IntegralTables::empty(std::size_t n) {
   t.orbital_irreps.assign(n, 0);
   return t;
 }
+
+namespace {
+
+// Pairs per slab of the two half-transformations: large enough for GEMMs
+// of a few thousand rows, small enough that a slab's buffers stay around
+// a megabyte.
+constexpr std::size_t kSlab = 128;
+
+// Half transformation of a slab of `count` symmetric nao x nao blocks X_k,
+// stored orbital-major: x[(p * count + k) * nao + q] = X_k(p, q).  Two
+// GEMMs give z[(i * count + k) * nmo + j] = (C^T X_k C)(i, j): Y = X C over
+// the rows (p, k), then Z = C^T Y over the columns (k, j).
+void half_transform(const linalg::Matrix& c, std::size_t count,
+                    const std::vector<double>& x, std::vector<double>& y,
+                    std::vector<double>& z) {
+  const std::size_t nao = c.rows();
+  const std::size_t nmo = c.cols();
+  y.resize(nao * count * nmo);
+  z.resize(nmo * count * nmo);
+  linalg::gemm(false, false, nao * count, nmo, nao, 1.0, x.data(), nao,
+               c.data(), nmo, 0.0, y.data(), nmo);
+  linalg::gemm(true, false, nmo, count * nmo, nao, 1.0, c.data(), nmo,
+               y.data(), count * nmo, 0.0, z.data(), count * nmo);
+}
+
+}  // namespace
 
 IntegralTables transform_to_mo(const linalg::Matrix& h_ao,
                                const EriTensor& eri_ao,
@@ -29,47 +58,52 @@ IntegralTables transform_to_mo(const linalg::Matrix& h_ao,
   const linalg::Matrix hmo = c.transposed() * tmp;
   t.h = hmo;
 
-  // Two-electron: four quarter transformations.  We expand the packed AO
-  // tensor pairwise to keep the code simple; nao is modest (< ~100).
-  const std::size_t nao2 = nao * nao;
-  // Step 1+2: (pq|rs) -> (ij|rs) for MO pairs i >= j, stored packed:
-  // half(i(i+1)/2 + j, r*nao + s).
-  linalg::Matrix half(nmo * (nmo + 1) / 2, nao2);
-  {
-    // For each AO pair (r,s), transform the (..|rs) matrix over (p,q).
-    linalg::Matrix g(nao, nao);
-    for (std::size_t r = 0; r < nao; ++r) {
-      for (std::size_t s = 0; s <= r; ++s) {
-        for (std::size_t p = 0; p < nao; ++p)
-          for (std::size_t q = 0; q < nao; ++q)
-            g(p, q) = eri_ao(p, q, r, s);
-        const linalg::Matrix gc = c.transposed() * (g * c);  // nmo x nmo
-        for (std::size_t i = 0; i < nmo; ++i)
-          for (std::size_t j = 0; j <= i; ++j) {
-            half(i * (i + 1) / 2 + j, r * nao + s) = gc(i, j);
-            if (s != r) half(i * (i + 1) / 2 + j, s * nao + r) = gc(i, j);
-          }
+  // Two-electron: (pq|rs) -> (ij|rs) -> (ij|kl), each half over slabs of
+  // pairs unpacked once from the packed tensor.  The intermediate holds
+  // (ij|rs) for MO pairs ij and AO pairs rs, both packed.
+  const std::size_t npair_ao = nao * (nao + 1) / 2;
+  const std::size_t npair_mo = nmo * (nmo + 1) / 2;
+  const std::vector<double>& ao = eri_ao.raw();
+  constexpr auto pair = &EriTensor::pair_index;
+  std::vector<double> half(npair_mo * npair_ao);
+  std::vector<double> x, y, z;
+  for (std::size_t rs0 = 0; rs0 < npair_ao; rs0 += kSlab) {
+    const std::size_t count = std::min(kSlab, npair_ao - rs0);
+    x.resize(nao * count * nao);
+    for (std::size_t p = 0; p < nao; ++p)
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t rs = rs0 + k;
+        double* row = x.data() + (p * count + k) * nao;
+        for (std::size_t q = 0; q < nao; ++q)
+          row[q] = ao[pair(pair(p, q), rs)];
       }
-    }
+    half_transform(c, count, x, y, z);
+    for (std::size_t i = 0; i < nmo; ++i)
+      for (std::size_t k = 0; k < count; ++k)
+        for (std::size_t j = 0; j <= i; ++j)
+          half[pair(i, j) * npair_ao + rs0 + k] =
+              z[(i * count + k) * nmo + j];
   }
-  // Step 3+4: (ij|rs) -> (ij|kl).
-  {
-    linalg::Matrix g(nao, nao);
-    for (std::size_t i = 0; i < nmo; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
-        const std::size_t ij = i * (i + 1) / 2 + j;
-        for (std::size_t r = 0; r < nao; ++r)
-          for (std::size_t s = 0; s < nao; ++s)
-            g(r, s) = half(ij, r * nao + s);
-        const linalg::Matrix gc = c.transposed() * (g * c);
-        for (std::size_t k = 0; k < nmo; ++k)
-          for (std::size_t l = 0; l <= k; ++l) {
-            const std::size_t kl = k * (k + 1) / 2 + l;
-            if (kl > ij) continue;
-            t.eri.set(i, j, k, l, gc(k, l));
-          }
+  std::vector<double>& mo = t.eri.raw();
+  for (std::size_t ij0 = 0; ij0 < npair_mo; ij0 += kSlab) {
+    const std::size_t count = std::min(kSlab, npair_mo - ij0);
+    x.resize(nao * count * nao);
+    for (std::size_t r = 0; r < nao; ++r)
+      for (std::size_t k = 0; k < count; ++k) {
+        const double* row = half.data() + (ij0 + k) * npair_ao;
+        double* out = x.data() + (r * count + k) * nao;
+        for (std::size_t s = 0; s < nao; ++s) out[s] = row[pair(r, s)];
       }
-    }
+    half_transform(c, count, x, y, z);
+    for (std::size_t a = 0; a < nmo; ++a)
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t ij = ij0 + k;
+        for (std::size_t b = 0; b <= a; ++b) {
+          const std::size_t kl = pair(a, b);
+          if (kl > ij) break;
+          mo[pair(ij, kl)] = z[(a * count + k) * nmo + b];
+        }
+      }
   }
   return t;
 }

@@ -26,8 +26,9 @@ struct IntegralTables {
 };
 
 /// Transforms AO-basis h and ERIs to the MO basis given the coefficient
-/// matrix C (AO x MO, columns are orbitals).  Quarter transformations; cost
-/// O(n^5).
+/// matrix C (AO x MO, columns are orbitals).  Two half-transformations,
+/// (pq|rs) -> (ij|rs) -> (ij|kl), each run as GEMMs over slabs of packed
+/// pairs; cost O(n^5).
 IntegralTables transform_to_mo(const linalg::Matrix& h_ao,
                                const EriTensor& eri_ao,
                                const linalg::Matrix& c);

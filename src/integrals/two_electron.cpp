@@ -138,9 +138,7 @@ std::size_t EriTensor::packed_index(std::size_t p, std::size_t q,
                                     std::size_t r, std::size_t s) const {
   XFCI_ASSERT(p < n_ && q < n_ && r < n_ && s < n_,
               "eri index out of range");
-  const std::size_t pq = (p >= q) ? p * (p + 1) / 2 + q : q * (q + 1) / 2 + p;
-  const std::size_t rs = (r >= s) ? r * (r + 1) / 2 + s : s * (s + 1) / 2 + r;
-  return (pq >= rs) ? pq * (pq + 1) / 2 + rs : rs * (rs + 1) / 2 + pq;
+  return pair_index(pair_index(p, q), pair_index(r, s));
 }
 
 std::vector<double> schwarz_factors(const BasisSet& basis) {

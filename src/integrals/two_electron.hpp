@@ -34,9 +34,17 @@ class EriTensor {
     data_[packed_index(p, q, r, s)] += value;
   }
 
-  /// Canonical packed index of (pq|rs).
+  /// Canonical packed index of (pq|rs):
+  /// pair_index(pair_index(p, q), pair_index(r, s)).
   std::size_t packed_index(std::size_t p, std::size_t q, std::size_t r,
                            std::size_t s) const;
+
+  /// Index of the unordered pair {p, q} among the pairs of its range,
+  /// lower-triangular row-major.  Applied to two orbital pairs it gives
+  /// the packed (pq|rs) index.
+  static std::size_t pair_index(std::size_t p, std::size_t q) {
+    return p >= q ? p * (p + 1) / 2 + q : q * (q + 1) / 2 + p;
+  }
 
   const std::vector<double>& raw() const { return data_; }
   std::vector<double>& raw() { return data_; }

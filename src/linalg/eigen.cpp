@@ -12,47 +12,57 @@ EigenResult eigh(const Matrix& a_in) {
   XFCI_REQUIRE(a_in.rows() == a_in.cols(), "eigh requires a square matrix");
   const std::size_t n = a_in.rows();
 
-  // Work on a symmetrized copy.
+  // Work on a symmetrized copy.  The sweeps index raw row-major storage
+  // (every index is below n by construction) and keep the eigenvectors
+  // transposed, vt(j, k) = V(k, j), so the eigenvector update of a
+  // rotation streams over two contiguous rows.
   Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       a(i, j) = 0.5 * (a_in(i, j) + a_in(j, i));
-  Matrix v = Matrix::identity(n);
+  Matrix vt = Matrix::identity(n);
+  double* const ad = a.data();
+  double* const vd = vt.data();
 
   const int max_sweeps = 100;
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j) off += a(i, j) * a(i, j);
+      for (std::size_t j = i + 1; j < n; ++j)
+        off += ad[i * n + j] * ad[i * n + j];
     if (off < 1e-30 * std::max(1.0, a.frobenius_norm())) break;
 
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
+        const double apq = ad[p * n + q];
         if (std::abs(apq) < 1e-300) continue;
-        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
+        const double theta = (ad[q * n + q] - ad[p * n + p]) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
                          (std::abs(theta) + std::sqrt(theta * theta + 1.0));
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
-        // Apply the rotation to rows/columns p and q.
+        // Apply the rotation to columns p and q, then to rows p and q.
         for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
+          const double akp = ad[k * n + p];
+          const double akq = ad[k * n + q];
+          ad[k * n + p] = c * akp - s * akq;
+          ad[k * n + q] = s * akp + c * akq;
         }
+        double* const ap = ad + p * n;
+        double* const aq = ad + q * n;
         for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
+          const double apk = ap[k];
+          const double aqk = aq[k];
+          ap[k] = c * apk - s * aqk;
+          aq[k] = s * apk + c * aqk;
         }
+        double* const vp = vd + p * n;
+        double* const vq = vd + q * n;
         for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vkp = vp[k];
+          const double vkq = vq[k];
+          vp[k] = c * vkp - s * vkq;
+          vq[k] = s * vkp + c * vkq;
         }
       }
     }
@@ -69,7 +79,7 @@ EigenResult eigh(const Matrix& a_in) {
   res.vectors.resize(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     res.values[j] = a(order[j], order[j]);
-    for (std::size_t i = 0; i < n; ++i) res.vectors(i, j) = v(i, order[j]);
+    for (std::size_t i = 0; i < n; ++i) res.vectors(i, j) = vt(order[j], i);
   }
   return res;
 }

@@ -1,9 +1,8 @@
 #pragma once
 // Small dense linear solvers: Cholesky and partial-pivot LU.
 //
-// Used by the SCF's DIIS extrapolation (LU on the B matrix), the symmetric
-// orthogonalization (via eigh), and the model-space exact solve of the
-// diagonalization preconditioner.
+// Used by the SCF's DIIS extrapolation (the pseudo-inverse solve of the
+// B matrix) and the symmetric orthogonalization (via eigh).
 
 #include <vector>
 

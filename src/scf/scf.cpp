@@ -65,6 +65,24 @@ std::pair<linalg::Matrix, std::vector<double>> solve_fock(
   return {x * eig.vectors, eig.values};
 }
 
+// The AO-basis operators that the SCF and the MO transformation share,
+// computed once per molecule and basis.
+struct AoOperators {
+  linalg::Matrix s;
+  linalg::Matrix hcore;
+  integrals::EriTensor eri;
+};
+
+AoOperators ao_operators(const chem::Molecule& mol,
+                         const integrals::BasisSet& basis) {
+  return {integrals::overlap_matrix(basis),
+          integrals::core_hamiltonian(basis, mol),
+          integrals::compute_eri(basis)};
+}
+
+ScfResult rohf_on(const chem::Molecule& mol, const AoOperators& ao,
+                  std::size_t multiplicity, const ScfOptions& options);
+
 }  // namespace
 
 linalg::Matrix coulomb_matrix(const integrals::EriTensor& eri,
@@ -106,6 +124,13 @@ ScfResult rhf(const chem::Molecule& mol, const integrals::BasisSet& basis,
 
 ScfResult rohf(const chem::Molecule& mol, const integrals::BasisSet& basis,
                std::size_t multiplicity, const ScfOptions& options) {
+  return rohf_on(mol, ao_operators(mol, basis), multiplicity, options);
+}
+
+namespace {
+
+ScfResult rohf_on(const chem::Molecule& mol, const AoOperators& ao,
+                  std::size_t multiplicity, const ScfOptions& options) {
   const int nelec = mol.num_electrons();
   XFCI_REQUIRE(multiplicity >= 1, "multiplicity must be >= 1");
   const int nopen = static_cast<int>(multiplicity) - 1;
@@ -114,9 +139,9 @@ ScfResult rohf(const chem::Molecule& mol, const integrals::BasisSet& basis,
   const std::size_t nbeta = static_cast<std::size_t>((nelec - nopen) / 2);
   const std::size_t nalpha = nbeta + static_cast<std::size_t>(nopen);
 
-  const linalg::Matrix s = integrals::overlap_matrix(basis);
-  const linalg::Matrix hcore = integrals::core_hamiltonian(basis, mol);
-  const integrals::EriTensor eri = integrals::compute_eri(basis);
+  const linalg::Matrix& s = ao.s;
+  const linalg::Matrix& hcore = ao.hcore;
+  const integrals::EriTensor& eri = ao.eri;
   const linalg::Matrix x = orthogonalizer(s);
   const std::size_t nmo = x.cols();
   XFCI_REQUIRE(nalpha <= nmo, "more electrons than orbitals");
@@ -132,15 +157,16 @@ ScfResult rohf(const chem::Molecule& mol, const integrals::BasisSet& basis,
   linalg::Matrix d_alpha_prev;
 
   for (iter = 1; iter <= options.max_iterations; ++iter) {
+    // A closed shell's beta density and exchange equal the alpha ones.
     const linalg::Matrix da = density(c, nalpha);
-    const linalg::Matrix db = density(c, nbeta);
+    const linalg::Matrix db = nopen == 0 ? da : density(c, nbeta);
     linalg::Matrix dt(da.rows(), da.cols());
     for (std::size_t i = 0; i < dt.size(); ++i)
       dt.data()[i] = da.data()[i] + db.data()[i];
 
     const linalg::Matrix j = coulomb_matrix(eri, dt);
     const linalg::Matrix ka = exchange_matrix(eri, da);
-    const linalg::Matrix kb = exchange_matrix(eri, db);
+    const linalg::Matrix kb = nopen == 0 ? ka : exchange_matrix(eri, db);
 
     linalg::Matrix fa(j.rows(), j.cols());
     linalg::Matrix fb(j.rows(), j.cols());
@@ -228,6 +254,8 @@ ScfResult rohf(const chem::Molecule& mol, const integrals::BasisSet& basis,
   return res;
 }
 
+}  // namespace
+
 std::array<linalg::Matrix, 3> mo_dipole_matrices(
     const integrals::BasisSet& basis, const linalg::Matrix& c,
     const std::array<double, 3>& origin) {
@@ -244,22 +272,21 @@ MoSystem prepare_mo_system(const chem::Molecule& mol,
                            const std::string& group_name,
                            const ScfOptions& options) {
   MoSystem sys;
-  sys.scf = rohf(mol, basis, multiplicity, options);
+  const AoOperators ao = ao_operators(mol, basis);
+  sys.scf = rohf_on(mol, ao, multiplicity, options);
   XFCI_REQUIRE(sys.scf.converged, "SCF did not converge");
 
   const chem::PointGroup group = (group_name == "auto")
                                      ? chem::PointGroup::detect(mol)
                                      : chem::PointGroup::make(group_name);
-  const linalg::Matrix s = integrals::overlap_matrix(basis);
 
   // Purify degenerate orbitals and label irreps.
   std::vector<std::size_t> irreps = symmetrize_orbitals(
-      sys.scf.coefficients, sys.scf.orbital_energies, s, basis, mol, group);
+      sys.scf.coefficients, sys.scf.orbital_energies, ao.s, basis, mol,
+      group);
 
-  const linalg::Matrix hcore = integrals::core_hamiltonian(basis, mol);
-  const integrals::EriTensor eri_ao = integrals::compute_eri(basis);
   sys.tables =
-      integrals::transform_to_mo(hcore, eri_ao, sys.scf.coefficients);
+      integrals::transform_to_mo(ao.hcore, ao.eri, sys.scf.coefficients);
   sys.tables.core_energy = mol.nuclear_repulsion();
   sys.tables.group = group;
   sys.tables.orbital_irreps = std::move(irreps);

@@ -7,13 +7,18 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "chem/molecule.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "integrals/basis.hpp"
 #include "integrals/one_electron.hpp"
 #include "integrals/tables.hpp"
 #include "integrals/two_electron.hpp"
+#include "linalg/gemm_kernels.hpp"
 #include "scf/scf.hpp"
 
 namespace xs = xfci::scf;
@@ -36,7 +41,52 @@ xc::Molecule water() {
       "H -1.638036840407 0.0 1.136548822547\n");
 }
 
+// FNV-1a over the exact bits of an SCF result: energy, coefficients and
+// orbital energies.
+std::uint64_t scf_bits(const xs::ScfResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](const double* v, std::size_t n) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v);
+    for (std::size_t i = 0; i < n * sizeof(double); ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  mix(&r.energy, 1);
+  mix(r.coefficients.data(), r.coefficients.size());
+  mix(r.orbital_energies.data(), r.orbital_energies.size());
+  return h;
+}
+
 }  // namespace
+
+// Exact bits depend on the GEMM kernel's rounding and on the release FP
+// flags (the sanitizer presets define XFCI_FP_CALIBRATED=0).
+#ifndef XFCI_FP_CALIBRATED
+#define XFCI_FP_CALIBRATED 1
+#endif
+
+TEST(Rohf, PinnedBits) {
+  // The closed-shell SCF reuses the alpha density and exchange for beta,
+  // and the open-shell SCF builds both; either way the results must keep
+  // the exact bits recorded before that reuse existed (H2O and the O
+  // triplet in STO-3G, portable GEMM kernel).
+  const std::string previous = xfci::linalg::gemm_kernel_name();
+  ASSERT_TRUE(xfci::linalg::set_gemm_kernel("portable"));
+  const auto mol = water();
+  const auto closed = xs::rohf(mol, xi::BasisSet::build("sto-3g", mol), 1);
+  const auto atom = xc::Molecule::from_xyz_bohr("O 0 0 0\n");
+  const auto open = xs::rohf(atom, xi::BasisSet::build("sto-3g", atom), 3);
+  xfci::linalg::set_gemm_kernel(previous);
+  ASSERT_TRUE(closed.converged);
+  ASSERT_TRUE(open.converged);
+  if (XFCI_FP_CALIBRATED) {
+    EXPECT_EQ(scf_bits(closed), 0xe2012460ac0da3baull)
+        << std::hex << "closed shell: 0x" << scf_bits(closed);
+    EXPECT_EQ(scf_bits(open), 0xb2975d4817ce178dull)
+        << std::hex << "open shell: 0x" << scf_bits(open);
+  }
+}
 
 TEST(Rhf, H2Sto3gReferenceEnergy) {
   // Szabo-Ostlund: E(RHF, H2/STO-3G, R=1.4) = -1.1167 Eh.
@@ -177,6 +227,45 @@ TEST(MoTransform, ScfEnergyFromMoIntegrals) {
       e += 2.0 * t.eri(i, i, j, j) - t.eri(i, j, j, i);
   }
   EXPECT_NEAR(e, res.energy, 1e-8);
+}
+
+TEST(MoTransform, MatchesScalarReference) {
+  // The slab-GEMM transformation against the plain four-index sum
+  // (ij|kl) = sum_pqrs C_pi C_qj C_rk C_sl (pq|rs), on 6 AOs and 5 MOs.
+  const std::size_t nao = 6, nmo = 5;
+  xfci::Rng rng(17);
+  Matrix h(nao, nao);
+  for (std::size_t p = 0; p < nao; ++p)
+    for (std::size_t q = 0; q <= p; ++q) h(p, q) = h(q, p) = rng.uniform(-1, 1);
+  xi::EriTensor eri(nao);
+  for (double& v : eri.raw()) v = rng.uniform(-1, 1);
+  Matrix c(nao, nmo);
+  for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] = rng.uniform(-1, 1);
+
+  const auto t = xi::transform_to_mo(h, eri, c);
+  ASSERT_EQ(t.norb, nmo);
+  for (std::size_t i = 0; i < nmo; ++i)
+    for (std::size_t j = 0; j < nmo; ++j) {
+      double hij = 0.0;
+      for (std::size_t p = 0; p < nao; ++p)
+        for (std::size_t q = 0; q < nao; ++q)
+          hij += c(p, i) * c(q, j) * h(p, q);
+      EXPECT_NEAR(t.h(i, j), hij, 1e-12);
+    }
+  for (std::size_t i = 0; i < nmo; ++i)
+    for (std::size_t j = 0; j < nmo; ++j)
+      for (std::size_t k = 0; k < nmo; ++k)
+        for (std::size_t l = 0; l < nmo; ++l) {
+          double v = 0.0;
+          for (std::size_t p = 0; p < nao; ++p)
+            for (std::size_t q = 0; q < nao; ++q)
+              for (std::size_t r = 0; r < nao; ++r)
+                for (std::size_t s = 0; s < nao; ++s)
+                  v += c(p, i) * c(q, j) * c(r, k) * c(s, l) *
+                       eri(p, q, r, s);
+          EXPECT_NEAR(t.eri(i, j, k, l), v, 1e-12)
+              << "(" << i << j << "|" << k << l << ")";
+        }
 }
 
 TEST(FreezeCore, PreservesValenceEnergyExpression) {

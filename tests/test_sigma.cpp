@@ -190,13 +190,30 @@ TEST(Sigma, LinearityOfDgemm) {
 }
 
 TEST(Sigma, DiagonalMatchesSlaterCondon) {
-  // hamiltonian_diagonal must equal <D|H|D> from hamiltonian_element.
-  const auto tables = random_tables(6, "C2v", {0, 1, 2, 3, 0, 1}, 55);
-  const xf::CiSpace space(6, 3, 2, tables.group, tables.orbital_irreps, 1);
-  const auto diag = xf::hamiltonian_diagonal(space, tables);
-  for (std::size_t i = 0; i < space.dimension(); i += 3) {
-    const auto d = xf::determinant_at(space, i);
-    EXPECT_NEAR(diag[i], xf::hamiltonian_element(tables, d, d), 1e-12);
+  // hamiltonian_diagonal (per-beta-string Coulomb partial sums) must equal
+  // <D|H|D> from hamiltonian_element on every determinant: a C2v open
+  // shell, a D2h closed shell, the 8/4/2 D2h open shell, C1, and a space
+  // with a single alpha electron.
+  const std::vector<SigmaCase> cases = {
+      {6, 3, 2, "C2v", {0, 1, 2, 3, 0, 1}, 1},
+      {8, 3, 3, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 0},
+      {8, 4, 2, "D2h", {0, 5, 6, 7, 1, 2, 3, 4}, 3},
+      {7, 3, 3, "C1", {0, 0, 0, 0, 0, 0, 0}, 0},
+      {7, 1, 3, "C2v", {0, 1, 0, 2, 3, 1, 0}, 1},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const SigmaCase& cs = cases[c];
+    const auto tables = random_tables(cs.norb, cs.group, cs.irreps, 55 + c);
+    const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
+                            tables.orbital_irreps, cs.target);
+    ASSERT_GT(space.dimension(), 0u) << "case " << c;
+    const auto diag = xf::hamiltonian_diagonal(space, tables);
+    ASSERT_EQ(diag.size(), space.dimension());
+    for (std::size_t i = 0; i < space.dimension(); ++i) {
+      const auto d = xf::determinant_at(space, i);
+      EXPECT_NEAR(diag[i], xf::hamiltonian_element(tables, d, d), 1e-12)
+          << "case " << c << ", determinant " << i;
+    }
   }
 }
 
