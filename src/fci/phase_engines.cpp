@@ -7,7 +7,6 @@
 #include "common/metric_names.hpp"
 #include "common/telemetry.hpp"
 #include "fci/fci.hpp"
-#include "linalg/gemm.hpp"
 #include "parallel/task_pool.hpp"
 
 namespace xfci::fcp {
@@ -613,11 +612,6 @@ void MixedSpinEngine::dgemm(std::span<const double> c,
                 "unpacked mixed-spin payload does not match its layout");
     stage.acc.assign(src, src + total);
     stage.stats = unpack_stats(src + total, words - total);
-  };
-  hooks.on_child_start = [](std::size_t) {
-    // A forked worker inherits the driver's GEMM thread-team pointer, but
-    // the team's threads do not survive fork: run dense kernels serially.
-    linalg::set_gemm_team(nullptr);
   };
 
   const pv::Ddi::PoolStats st = s_.ddi.run_pool(pool, hooks);

@@ -1,5 +1,6 @@
 #include "fci/solve_setup.hpp"
 
+#include "common/error.hpp"
 #include "fci/fci.hpp"
 
 namespace xfci::fci {
@@ -28,12 +29,20 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
     : ints_(std::move(ints)),
       space_(ints_.norb, nalpha, nbeta, ints_.group, ints_.orbital_irreps,
              target_irrep),
-      context_(space_, ints_),
       options_(options),
-      target_irrep_(target_irrep) {}
+      target_irrep_(target_irrep) {
+  if (options_.algorithm != Algorithm::kDense) context_.emplace(space_, ints_);
+}
+
+const SigmaContext& SolveSetup::context() const {
+  XFCI_REQUIRE(context_.has_value(),
+               "a dense-sigma setup builds no SigmaContext");
+  return *context_;
+}
 
 std::unique_ptr<SigmaOperator> SolveSetup::make_sigma() const {
-  return fci::make_sigma(options_.algorithm, context_,
+  if (!context_) return std::make_unique<SigmaDense>(space_, ints_);
+  return fci::make_sigma(options_.algorithm, *context_,
                          options_.ms0_transpose);
 }
 
@@ -52,7 +61,8 @@ std::size_t SolveSetup::memory_bytes() const {
   std::size_t bytes = ints_.h.size() * w + ints_.eri.packed_size() * w;
   // Both orientations of the space and of the context, each distinct
   // table counted once.
-  bytes += space_.bytes() + context_.bytes();
+  bytes += space_.bytes();
+  if (context_) bytes += context_->bytes();
   // CI-dimension state held per setup: the preconditioner diagonal.
   bytes += space_.dimension() * w;
   return bytes;

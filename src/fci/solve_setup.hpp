@@ -4,11 +4,12 @@
 // A SolveSetup is everything about an FCI problem that is immutable during
 // a solve: the integral tables, the symmetry-blocked CI space, the
 // precomputed SigmaContext (string spaces, creation tables, DGEMM integral
-// matrices) and the memoized model-space preconditioners.  Construction is
-// the expensive part of a small solve — a SolveSetup is built once and then
-// *shared*: any number of SolveSessions (solve_session.hpp) borrow it
-// concurrently through shared_ptr<const SolveSetup>, which is what the
-// serve::Engine's setup cache hands out.
+// matrices; built for the DGEMM and MOC sigmas only) and the memoized
+// model-space preconditioners.  Construction is the expensive part of a
+// small solve — a SolveSetup is built once and then *shared*: any number
+// of SolveSessions (solve_session.hpp) borrow it concurrently through
+// shared_ptr<const SolveSetup>, which is what the serve::Engine's setup
+// cache hands out.
 //
 // Thread safety: the space and the context build both of their
 // orientations in their constructors, so concurrent sessions only ever
@@ -18,6 +19,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/annotations.hpp"
@@ -53,8 +55,9 @@ struct SetupOptions {
 /// shared_ptr-only factory.
 class SolveSetup {
  public:
-  /// Builds the full setup (CI space and sigma context, both with their
-  /// transposes).  The integral tables are taken by value and owned.
+  /// Builds the full setup (CI space and, unless the algorithm is kDense,
+  /// sigma context, both with their transposes).  The integral tables are
+  /// taken by value and owned.
   static std::shared_ptr<const SolveSetup> create(
       integrals::IntegralTables ints, std::size_t nalpha, std::size_t nbeta,
       std::size_t target_irrep = 0, const SetupOptions& options = {});
@@ -64,7 +67,9 @@ class SolveSetup {
 
   const integrals::IntegralTables& ints() const { return ints_; }
   const CiSpace& space() const { return space_; }
-  const SigmaContext& context() const { return context_; }
+  /// The sigma context of a kDgemm or kMoc setup; a kDense setup builds
+  /// none, and asking for it throws.
+  const SigmaContext& context() const;
   const SetupOptions& options() const { return options_; }
   Algorithm algorithm() const { return options_.algorithm; }
   bool ms0_transpose() const { return options_.ms0_transpose; }
@@ -85,9 +90,9 @@ class SolveSetup {
       std::size_t model_space) const;
 
   /// Resident-memory estimate used by the serve layer's cache eviction
-  /// accounting: the integral tables, CiSpace::bytes() and
-  /// SigmaContext::bytes() (both orientations, each distinct table once)
-  /// and one word per determinant.
+  /// accounting: the integral tables, CiSpace::bytes(), SigmaContext::bytes()
+  /// when a context was built (both orientations, each distinct table
+  /// once) and one word per determinant.
   std::size_t memory_bytes() const;
 
  private:
@@ -97,7 +102,7 @@ class SolveSetup {
 
   integrals::IntegralTables ints_;  // owned; context_ references it
   CiSpace space_;                   // owned; context_ references it
-  SigmaContext context_;
+  std::optional<SigmaContext> context_;  // absent for kDense
   SetupOptions options_;
   std::size_t target_irrep_ = 0;
 

@@ -59,9 +59,7 @@ void RunMetrics::add_solve(const fci::SolverResult& s) {
   residual_history = s.residual_history;
 }
 
-std::string RunMetrics::to_json() const {
-  obs::JsonWriter w;
-  w.begin_object();
+void RunMetrics::write_fields(obs::JsonWriter& w) const {
   w.key("schema").str("xfci-metrics-v1");
   w.key("run").str(run);
   w.key("backend").str(backend);
@@ -128,6 +126,12 @@ std::string RunMetrics::to_json() const {
     w.end_array();
     w.end_object();
   }
+}
+
+std::string RunMetrics::to_json() const {
+  obs::JsonWriter w;
+  w.begin_object();
+  write_fields(w);
   w.end_object();
   return w.take();
 }

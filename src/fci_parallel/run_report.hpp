@@ -17,6 +17,10 @@
 #include "fci/parallel_options.hpp"
 #include "parallel/ddi.hpp"
 
+namespace xfci::obs {
+class JsonWriter;
+}
+
 namespace xfci::fcp {
 
 class ParallelSigma;
@@ -25,7 +29,7 @@ class ParallelSigma;
 /// any ParallelSigma regardless of backend.
 struct RunMetrics {
   std::string run;        ///< driver-set label ("c2_on_simulated_x1", ...)
-  std::string backend;    ///< "sim" | "threads"
+  std::string backend;    ///< "sim" | "threads" | "process" | "serve"
   std::string algorithm;  ///< "dgemm" | "moc"
   std::size_t num_ranks = 0;
   std::size_t num_workers = 0;
@@ -56,6 +60,9 @@ struct RunMetrics {
   /// Folds a finished solve into the report.
   void add_solve(const fci::SolverResult& s);
 
+  /// Writes every field of the document into an open JSON object, so a
+  /// producer with extra sections (serve::Engine) appends them after.
+  void write_fields(obs::JsonWriter& w) const;
   /// The full "xfci-metrics-v1" document.
   std::string to_json() const;
   void write(const std::string& path) const;

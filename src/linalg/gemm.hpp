@@ -10,13 +10,13 @@
 // linalg/gemm_kernels.hpp for dispatch rules, pinning and the per-ISA
 // determinism contract).
 //
+// gemm() runs serially on the calling thread.  Parallelism lives one level
+// up, as in the paper (§3): the sigma phases split their work items over
+// ranks and threads, and each item's DGEMM runs on one worker.
+//
 // All matrices are row-major.  `ld*` are leading dimensions (row strides).
 
 #include <cstddef>
-
-namespace xfci::pv {
-class ThreadTeam;
-}
 
 namespace xfci::linalg {
 
@@ -29,20 +29,6 @@ void gemm(bool transa, bool transb, std::size_t m, std::size_t n,
           std::size_t k, double alpha, const double* a, std::size_t lda,
           const double* b, std::size_t ldb, double beta, double* c,
           std::size_t ldc);
-
-/// Installs (or clears, with nullptr) a shared-memory thread team used by
-/// gemm() to run the macro-kernel loop in parallel.  Per (jc, pc) panel the
-/// team packs each B strip and each A row tile exactly once into shared
-/// buffers (the old path repacked the same B panel in every task of a jc
-/// column), then claims the macro-tile grid dynamically.  Each C tile is
-/// owned by exactly one task and accumulates its k-panels in the serial
-/// order, so the threaded product is bitwise identical to the serial one
-/// under the same micro-kernel.  Calls from inside an enclosing parallel
-/// region (e.g. the threaded sigma phases) automatically run serially.
-/// The team must outlive its installation; not thread-safe against
-/// concurrent installs.
-void set_gemm_team(pv::ThreadTeam* team);
-pv::ThreadTeam* gemm_team();
 
 /// Blocking parameters of the current configuration: cache blocks (mc, kc,
 /// nc) and the dispatched kernel's register tile (mr, nr).  Tests use these

@@ -12,11 +12,11 @@
 //   * code     linalg::set_gemm_kernel("portable")
 //
 // Determinism contract (DESIGN.md "The GEMM layer"): within one dispatched
-// kernel, results are bitwise independent of the thread count and of
-// serial-vs-threaded execution.  Across kernels the summation *order* is
-// identical but FMA contraction and register-tile width differ, so results
-// agree only to rounding; pin the portable kernel when bitwise cross-machine
-// reproducibility matters.
+// kernel, results are bitwise reproducible -- gemm() is one serial loop
+// nest, so every C element accumulates its k-panels in one fixed order.
+// Across kernels the summation *order* is identical but FMA contraction
+// and register-tile width differ, so results agree only to rounding; pin
+// the portable kernel when bitwise cross-machine reproducibility matters.
 //
 // SIMD intrinsics are fenced inside the gemm_kernels_*.cpp translation
 // units (lint rule `simd`); the rest of the tree sees only this header.

@@ -97,7 +97,6 @@ class SimulatedDdi final : public Ddi {
     charge_seconds(rank, model_.indexed_seconds(words));
   }
   bool models_cost() const override { return true; }
-  bool concurrent() const override { return false; }
 
   double barrier() override;
   double elapsed() const override;
@@ -407,7 +406,6 @@ class ThreadsDdi final : public Ddi {
   }
   void charge_indexed(std::size_t, double) override {}
   bool models_cost() const override { return false; }
-  bool concurrent() const override { return true; }
 
   // Parallel regions join before the next barrier() call, so the barrier
   // itself is just a wall-clock timestamp for the phase-row deltas.

@@ -120,9 +120,6 @@ class Ddi {
   /// True when the backend models cost (simulated clocks); false when it
   /// executes for real and the solver's vector work needs no charges.
   virtual bool models_cost() const = 0;
-  /// True when workers run concurrently (lazily-built shared tables must
-  /// be materialized before entering parallel regions).
-  virtual bool concurrent() const = 0;
 
   // --- synchronization / clocks ---------------------------------------------
   /// Barrier over the surviving ranks; returns the synchronized backend
@@ -170,10 +167,11 @@ class Ddi {
     std::function<void(std::size_t item, const double* src,
                        std::size_t words)>
         unpack;
-    /// Runs once per worker before its first claim, *in the worker's own
-    /// address space*: process backends sanitize inherited process-wide
-    /// state here (thread pools do not survive fork).  In-process
-    /// backends never call it.
+    /// Runs once per worker *in the worker's own address space*, before it
+    /// checks in to the pool and claims its first chunk: the place to reset
+    /// process-wide state a forked child inherits (threads do not survive
+    /// fork).  No phase engine sets it; the fault tests use it to wedge a
+    /// child before it checks in.  In-process backends never call it.
     std::function<void(std::size_t worker)> on_child_start;
   };
   struct PoolStats {

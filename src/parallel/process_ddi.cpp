@@ -187,7 +187,6 @@ class ProcessDdi final : public Ddi {
   }
   void charge_indexed(std::size_t, double) override {}
   bool models_cost() const override { return false; }
-  bool concurrent() const override { return true; }
 
   // The barrier is a wall timestamp (children between pools do not exist,
   // and in-pool synchronization is the commit protocol); it is also where

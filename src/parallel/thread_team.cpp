@@ -148,11 +148,6 @@ void ThreadTeam::for_dynamic(std::size_t count, const IndexBody& body) {
   run_region(count, &body, nullptr);
 }
 
-void ThreadTeam::for_pool(const TaskPool& pool, const IndexBody& body) {
-  XFCI_REQUIRE(static_cast<bool>(body), "for_pool: body must be callable");
-  for_dynamic(pool.num_chunks(), body);
-}
-
 void ThreadTeam::for_pool_resilient(const TaskPool& pool,
                                     const RetireBody& body) {
   XFCI_REQUIRE(static_cast<bool>(body),

@@ -59,19 +59,16 @@ class ThreadTeam {
   /// atomic counter (the shared-memory analogue of the DLB server).
   void for_dynamic(std::size_t count, const IndexBody& body);
 
-  /// Chunks of `pool` claimed dynamically: body(chunk_index, tid).
-  /// This is the manager/worker scheme of paper section 3.3 with the
-  /// SHMEM_SWAP server replaced by a fetch-and-add.
-  void for_pool(const TaskPool& pool, const IndexBody& body);
-
-  /// body(chunk_index, tid) -> keep_claiming: returning false retires the
-  /// worker after the current chunk (a simulated worker crash under fault
-  /// injection).  The body must leave the chunk fully handled before
-  /// retiring -- in the recovery scheme the replacement worker re-executes
-  /// it inline, then commits at the chunk's normal turn, so ordered-commit
-  /// gates never stall on a dead worker.  Remaining chunks are claimed by
-  /// the survivors; if every worker retires while chunks remain unclaimed
-  /// the region throws xfci::Error.
+  /// Chunks of `pool` claimed dynamically: body(chunk_index, tid) ->
+  /// keep_claiming.  This is the manager/worker scheme of paper section
+  /// 3.3 with the SHMEM_SWAP server replaced by a fetch-and-add.
+  /// Returning false retires the worker after the current chunk (a
+  /// simulated worker crash under fault injection).  The body must leave
+  /// the chunk fully handled before retiring -- in the recovery scheme the
+  /// replacement worker re-executes it inline, then commits at the chunk's
+  /// normal turn, so ordered-commit gates never stall on a dead worker.
+  /// Remaining chunks are claimed by the survivors; if every worker retires
+  /// while chunks remain unclaimed the region throws xfci::Error.
   using RetireBody = std::function<bool(std::size_t, std::size_t)>;
   void for_pool_resilient(const TaskPool& pool, const RetireBody& body);
 
@@ -82,8 +79,9 @@ class ThreadTeam {
   void for_static(std::size_t count, const RangeBody& body);
 
   /// True while the calling thread is executing a parallel region of any
-  /// team.  Nested parallel calls (e.g. a threaded gemm inside a threaded
-  /// sigma phase) detect this and run inline on the calling thread.
+  /// team.  Nested parallel calls (e.g. a serve worker's one-thread sigma
+  /// inside the engine's team) detect this and run inline on the calling
+  /// thread.
   static bool in_parallel_region();
 
  private:

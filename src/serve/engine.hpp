@@ -18,9 +18,10 @@
 //
 // Each drained job records where its time went (queue wait, setup
 // acquisition, solve) and whether its setup came from the cache; the
-// engine aggregates everything into an xfci-metrics-v1 run report with a
-// "cache" section (hits / misses / evictions / resident bytes) and a
-// per-job "jobs" array, validated by tools/check_trace.py --metrics.
+// engine aggregates everything into an xfci-metrics-v1 run report (the
+// shared fields written by fcp::RunMetrics) with a "cache" section (hits /
+// misses / evictions / resident bytes) and a per-job "jobs" array,
+// validated by tools/check_trace.py --metrics.
 //
 // Determinism: job *results* are bitwise-identical to standalone run_fci
 // calls over the same inputs regardless of worker count or scheduling

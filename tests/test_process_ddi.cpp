@@ -186,7 +186,6 @@ TEST(ProcessDdi, PoolResultsCrossAddressSpacesAndCommitInOrder) {
   auto ddi = pv::make_process_ddi(3, pv::FaultPlan{}, fast_params());
   EXPECT_STREQ(ddi->name(), "process");
   EXPECT_FALSE(ddi->models_cost());
-  EXPECT_TRUE(ddi->concurrent());
 
   PoolHarness h(*ddi, 257);
   const auto st = h.run();

@@ -436,6 +436,16 @@ TEST(Engine, ReportIsValidMetricsDocument) {
   EXPECT_EQ(jobs.at(0).req("state").as_string(), "done");
   EXPECT_EQ(doc.req("ranks").size(), 1u);
   EXPECT_EQ(doc.req("num_ranks").as_double(), 1.0);
+  // The full phase breakdown, as the run-report writer emits it.
+  for (const char* section : {"phases", "totals"}) {
+    const auto& block = doc.req(section);
+    for (const char* key :
+         {"beta_side", "alpha_side", "mixed", "transpose", "vector_ops",
+          "load_imbalance", "recovery", "total", "comm_words",
+          "mixed_comm_words", "flops", "count"})
+      EXPECT_NE(block.get(key), nullptr) << section << "." << key;
+  }
+  EXPECT_EQ(doc.req("totals").req("count").as_double(), 1.0);
 }
 
 TEST(Engine, PriorityParsing) {

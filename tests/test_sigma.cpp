@@ -618,6 +618,26 @@ TEST(SolveSetup, MemoryBytesCoversEveryTable) {
     EXPECT_GT(ctx.beta().create_streams.size(), 0u);
     EXPECT_GE(setup->memory_bytes(), lower);
   }
+
+  // A dense setup builds no SigmaContext: it holds the integrals, the
+  // space and one word per determinant, and its sigma is the explicit
+  // Hamiltonian.
+  for (const std::size_t i : {0u, 3u}) {
+    const TableCase& tc = table_cases()[i];
+    SCOPED_TRACE(i);
+    auto tables = random_tables(tc.norb, tc.group, tc.irreps, 70 + i);
+    const std::size_t int_bytes =
+        (tables.h.size() + tables.eri.packed_size()) * sizeof(double);
+    const auto setup = xf::SolveSetup::create(
+        std::move(tables), tc.na, tc.nb, tc.target,
+        xf::SetupOptions{xf::Algorithm::kDense, false});
+    const xf::CiSpace& space = setup->space();
+    EXPECT_EQ(setup->memory_bytes(), int_bytes + space.bytes() +
+                                         space.dimension() * sizeof(double));
+    EXPECT_THROW(setup->context(), xfci::Error);
+    EXPECT_NE(dynamic_cast<xf::SigmaDense*>(setup->make_sigma().get()),
+              nullptr);
+  }
 }
 
 TEST(ThreadedSigmaContext, TwoThreadsShareABareContext) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <numeric>
@@ -81,13 +82,14 @@ TEST(ThreadTeamStress, PoolChunksCoverEveryItemOnce) {
     params.aggregate = rng.index(4) != 0;
     const TaskPool pool(items, team.size(), params);
     std::vector<std::atomic<int>> claims(items);
-    team.for_pool(pool, [&](std::size_t ci, std::size_t) {
+    team.for_pool_resilient(pool, [&](std::size_t ci, std::size_t) {
       const auto [b, e] = pool.chunk(ci);
-      ASSERT_LE(b, e);
-      ASSERT_LE(e, items);
+      EXPECT_LE(b, e);
+      EXPECT_LE(e, items);
       spin(ci % 53);
-      for (std::size_t i = b; i < e; ++i)
+      for (std::size_t i = b; i < std::min(e, items); ++i)
         claims[i].fetch_add(1, std::memory_order_relaxed);
+      return true;
     });
     for (std::size_t i = 0; i < items; ++i)
       ASSERT_EQ(claims[i].load(), 1) << "round " << round << " item " << i;

@@ -1,8 +1,8 @@
 // Tests for the shared-memory execution backend: the ThreadTeam pool and
-// OrderedSequencer primitives, the threaded blocked GEMM, and the
-// ExecutionMode::kThreads sigma build -- which must be bitwise identical
-// to the simulate backend for every thread count (the determinism the
-// ordered-commit mixed-spin phase guarantees).
+// OrderedSequencer primitives, and the ExecutionMode::kThreads sigma build
+// -- which must be bitwise identical to the simulate backend for every
+// thread count (the determinism the ordered-commit mixed-spin phase
+// guarantees).
 
 #include <gtest/gtest.h>
 
@@ -16,14 +16,12 @@
 #include "fci/fci.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
-#include "linalg/gemm.hpp"
 #include "parallel/task_pool.hpp"
 #include "parallel/thread_team.hpp"
 #include "scf/scf.hpp"
 
 namespace pv = xfci::pv;
 namespace xf = xfci::fci;
-namespace xl = xfci::linalg;
 namespace xi = xfci::integrals;
 namespace xc = xfci::chem;
 namespace fcp = xfci::fcp;
@@ -73,10 +71,11 @@ TEST(ThreadTeam, ForPoolClaimsEveryChunk) {
   pv::ThreadTeam team(4);
   const pv::TaskPool pool(6400, 4);
   std::vector<std::atomic<int>> item_hits(6400);
-  team.for_pool(pool, [&](std::size_t chunk, std::size_t) {
+  team.for_pool_resilient(pool, [&](std::size_t chunk, std::size_t) {
     const auto [b, e] = pool.chunk(chunk);
     for (std::size_t i = b; i < e; ++i)
       item_hits[i].fetch_add(1, std::memory_order_relaxed);
+    return true;
   });
   for (std::size_t i = 0; i < 6400; ++i) EXPECT_EQ(item_hits[i].load(), 1);
 }
@@ -144,30 +143,6 @@ TEST(OrderedSequencer, EnforcesCommitOrder) {
   });
   ASSERT_EQ(commits.size(), 64u);
   for (std::size_t i = 0; i < commits.size(); ++i) EXPECT_EQ(commits[i], i);
-}
-
-// ---------------------------------------------------------- threaded gemm ----
-
-TEST(ThreadedGemm, BitwiseMatchesSerial) {
-  const std::size_t m = 257, n = 2100, k = 311;  // > one (jc, ic) tile
-  xfci::Rng rng(5);
-  const auto a = rng.signed_vector(m * k);
-  const auto b = rng.signed_vector(k * n);
-  std::vector<double> c_serial = rng.signed_vector(m * n);
-  std::vector<double> c_thread = c_serial;
-
-  xl::gemm(false, false, m, n, k, 1.5, a.data(), k, b.data(), n, 0.5,
-           c_serial.data(), n);
-
-  pv::ThreadTeam team(4);
-  xl::set_gemm_team(&team);
-  xl::gemm(false, false, m, n, k, 1.5, a.data(), k, b.data(), n, 0.5,
-           c_thread.data(), n);
-  xl::set_gemm_team(nullptr);
-  EXPECT_EQ(xl::gemm_team(), nullptr);
-
-  for (std::size_t i = 0; i < c_serial.size(); ++i)
-    ASSERT_EQ(c_serial[i], c_thread[i]) << "element " << i;
 }
 
 // --------------------------------------------------------- threaded sigma ----

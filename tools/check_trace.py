@@ -145,7 +145,7 @@ METRICS_KEYS = ("schema", "backend", "algorithm", "num_ranks",
                 "phases", "totals", "comm", "recovery", "ranks", "env")
 PHASE_KEYS = ("beta_side", "alpha_side", "mixed", "transpose",
               "vector_ops", "load_imbalance", "recovery", "total",
-              "comm_words", "flops", "count")
+              "comm_words", "mixed_comm_words", "flops", "count")
 # Optional serve::Engine extensions (engine.cpp report_json).
 CACHE_KEYS = ("hits", "misses", "evictions", "resident_bytes",
               "resident_entries")
@@ -673,6 +673,10 @@ def self_test() -> int:
     bad = dict(GOOD_METRICS)
     del bad["phases"]
     expect("missing phases caught", check_metrics, bad, True)
+    bad = dict(GOOD_METRICS, totals={k: 0.0 for k in PHASE_KEYS
+                                     if k != "mixed_comm_words"})
+    expect("totals without mixed_comm_words caught", check_metrics, bad,
+           True)
     bad = dict(GOOD_METRICS)
     del bad["env"]
     expect("missing env section caught", check_metrics, bad, True)
